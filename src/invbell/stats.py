@@ -158,6 +158,18 @@ def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
+def _bucket_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Per-outcome counts of the draws `u` under the 16-entry nondecreasing `cdf`.
+
+    Draw u lands in bucket k when cdf[k-1] <= u < cdf[k], so the draws in
+    buckets 0..k are exactly those with u < cdf[k]; bucket 15 also takes every
+    u >= cdf[15].  This is searchsorted(cdf, u, side="right") clipped to 15,
+    counted by 15 comparisons per draw instead of a binary search.
+    """
+    below = [np.count_nonzero(u < c) for c in cdf[:15].tolist()]
+    return np.diff(np.array(below + [u.size], dtype=np.int64), prepend=0)
+
+
 @dataclass(frozen=True)
 class SampleReport:
     """Outcome counts from `n` seeded draws plus their total-variation distance."""
@@ -189,9 +201,7 @@ def sample(d: Distribution, n: int, seed: int, chunk_size: int = 1 << 16) -> Sam
     while start < n:
         block = min(chunk_size, n - start)
         u = _uniform_block(seed, start, block)
-        idx = np.searchsorted(cdf, u, side="right")
-        np.clip(idx, 0, 15, out=idx)
-        counts += np.bincount(idx, minlength=16)
+        counts += _bucket_counts(u, cdf)
         start += block
     tv = 0.5 * float(np.abs(counts / n - probs).sum())
     return SampleReport(

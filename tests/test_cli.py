@@ -1,9 +1,10 @@
 import json
 import math
+import time
 
 import pytest
 
-from invbell.cli import main
+from invbell.cli import MAX_SAMPLES, build_parser, main, resolve_config
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +113,27 @@ def test_sample_requires_samples_flag(capsys):
     assert code == 2
 
 
+def test_samples_above_cap_fail_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sample", "--samples", "100000000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert f"samples must be <= {MAX_SAMPLES}" in err
+
+
+def test_samples_at_cap_are_accepted():
+    cfg = resolve_config(build_parser().parse_args(["sample", "--samples", str(MAX_SAMPLES)]))
+    assert cfg.samples == MAX_SAMPLES
+
+
+def test_negative_seed_is_reduced_mod_2_64(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--samples", "5", "--seed", "-1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["seed"] == payload["results"]["seed"] == 2**64 - 1
+
+
 def test_bad_mode_is_config_error(capsys):
     code, _, err = run_cli(capsys, "hardy", "--mode", "telepathic")
     assert code == 2
@@ -175,6 +197,31 @@ def test_config_file_malformed_line(capsys, tmp_path):
     cfg.write_text("just a line without equals\n")
     code, _, _ = run_cli(capsys, "hardy", "--config", str(cfg))
     assert code == 2
+
+
+def test_repeated_calls_reproduce_first_bytes(capsys, tmp_path):
+    """main() shares one parser per process; no call may leak state into the next."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=coin\nchoice-prob=0.25\nseed=5\nformat=json\ndiagonal=true\n")
+    argvs = [
+        ["rho", "--diagonal"],
+        ["rho"],
+        ["rho", "--config", str(cfg)],
+        ["rho", "--diagonal", "--format", "csv"],
+        ["rho", "--config", str(cfg), "--format", "table"],
+        ["sample", "--samples", "50", "--config", str(cfg)],
+        ["sample", "--samples", "50"],
+    ]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    assert "imaginary part:" in first[1][1] and "imaginary part:" not in first[0][1]
+    assert json.loads(first[2][1])["config"]["diagonal"] is True
+    for _ in range(2):
+        assert [run_cli(capsys, *argv) for argv in argvs] == first
+        assert [run_cli(capsys, *argv) for argv in reversed(argvs)] == first[::-1]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 # -------------------------------------------------------------- output contracts

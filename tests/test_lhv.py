@@ -22,6 +22,7 @@ from invbell.lhv import (
     strategy_table,
 )
 from invbell.protocol import Distribution, OutcomeQuadruple
+from invbell.stats import conditional
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -81,6 +82,30 @@ def test_table_of_uniform_distribution():
 def test_table_missing_support():
     with pytest.raises(MissingSupport):
         conditional_table(Distribution.point_mass(OutcomeQuadruple(1, 1, 1, 1)))
+
+
+@given(seeds, st.integers(min_value=0, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_table_matches_conditional_queries_bit_for_bit(seed, zeros):
+    """Reference: each entry as stats.conditional computes it, one query per cell."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(16) ** 3
+    weights[rng.choice(16, size=zeros, replace=False)] = 0.0
+    for block in range(4):  # keep every (q1, q2) pair supported
+        if not weights[4 * block : 4 * block + 4].any():
+            weights[4 * block + rng.integers(4)] = rng.random() + 1e-3
+    d = Distribution.from_array(weights / weights.sum())
+    expected = [
+        [conditional(d, {"q3": q3, "q4": q4}, {"q1": q1, "q2": q2}) for q3, q4 in PAIR_ORDER]
+        for q1, q2 in PAIR_ORDER
+    ]
+    assert conditional_table(d).entries.tolist() == expected
+
+
+def test_table_missing_support_names_first_unsupported_pair():
+    d = Distribution({(1, 1, 1, 1): 0.5, (-1, -1, 1, 1): 0.5})
+    with pytest.raises(MissingSupport, match=r"\(q1, q2\)=\(\+1, -1\)"):
+        conditional_table(d)
 
 
 # ---------------------------------------------------------- no_signaling_check

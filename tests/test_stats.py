@@ -10,6 +10,7 @@ from invbell.errors import DimensionMismatch, ZeroConditioning
 from invbell.protocol import OUTCOMES, Distribution, OutcomeQuadruple, bell_state
 from invbell.stats import (
     ChshSettings,
+    _bucket_counts,
     EventPredicate,
     chsh_value,
     conditional,
@@ -268,3 +269,35 @@ def test_empirical_distribution_is_valid(default_distribution):
     report = sample(default_distribution, 10_000, seed=11)
     empirical = report.empirical()
     assert sum(empirical.probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _searchsorted_counts(u, cdf):
+    """Reference binning by binary search: searchsorted(side="right"), clipped to 15, then bincount."""
+    idx = np.searchsorted(cdf, u, side="right")
+    np.clip(idx, 0, 15, out=idx)
+    return np.bincount(idx, minlength=16)
+
+
+@st.composite
+def cdfs_and_draws(draw):
+    """CDFs with repeated thresholds and a last entry below 1, plus draws on the thresholds."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+    zeros = draw(st.sets(st.integers(0, 15), max_size=15))
+    weights = [0.0 if i in zeros else w for i, w in enumerate(weights)]
+    total = math.fsum(weights) or 1.0
+    cdf = np.cumsum(np.array(weights) / total)
+    if draw(st.booleans()):  # cdf[15] rounding below 1
+        cdf *= 1.0 - draw(st.integers(1, 64)) * 2.0**-53
+    thresholds = cdf.tolist()
+    near = [math.nextafter(c, -math.inf) for c in thresholds] + [math.nextafter(c, math.inf) for c in thresholds]
+    pool = thresholds + near + [0.0, 1.0 - 2.0**-53]
+    on_grid = draw(st.lists(st.sampled_from(pool), max_size=64))
+    anywhere = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64))
+    return cdf, np.array(on_grid + anywhere, dtype=np.float64)
+
+
+@given(cdfs_and_draws())
+@settings(max_examples=300, deadline=None)
+def test_bucket_counts_match_searchsorted(case):
+    cdf, u = case
+    assert _bucket_counts(u, cdf).tolist() == _searchsorted_counts(u, cdf).tolist()
