@@ -270,8 +270,8 @@ def _run_rho(cfg: RunConfig) -> dict:
         rows = [_outcome_row(o, "probability", probs.probs[o]) for o in OUTCOMES]
         return {"diagonal": rows}
     return {
-        "real": [[float(x) for x in row] for row in rho.matrix.real],
-        "imag": [[float(x) for x in row] for row in rho.matrix.imag],
+        "real": rho.matrix.real.tolist(),
+        "imag": rho.matrix.imag.tolist(),
     }
 
 
@@ -310,7 +310,7 @@ def _table_payload(table) -> dict:
     return {
         "inputs": [list(pair) for pair in PAIR_ORDER],
         "outputs": [list(pair) for pair in PAIR_ORDER],
-        "entries": [[float(x) for x in row] for row in table.entries],
+        "entries": table.entries.tolist(),
     }
 
 

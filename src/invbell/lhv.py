@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSupport
-from .protocol import Distribution
+from .protocol import SIGNS, Distribution
 
 DEFAULT_TOL = 1e-9
-
-SIGNS = (1, -1)
 
 # Fixed ordering of (+-1, +-1) pairs for table rows (inputs) and columns (outputs).
 PAIR_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))

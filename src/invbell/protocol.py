@@ -36,12 +36,12 @@ from .qcore import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
-    apply_unitary,
+    _apply_kernel,
+    _check_norm,
+    _check_weights,
     controlled_unitary,
-    density_from_state,
     hadamard,
     measurement_probs,
-    mix,
 )
 
 PROB_ATOL = 1e-12
@@ -69,6 +69,7 @@ def index_of_outcome(outcome: OutcomeQuadruple) -> int:
 
 
 OUTCOMES: tuple[OutcomeQuadruple, ...] = tuple(outcome_from_index(i) for i in range(16))
+SIGNS = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,16 @@ class Distribution:
     def __post_init__(self):
         table: dict[OutcomeQuadruple, float] = {o: 0.0 for o in OUTCOMES}
         for key, value in self.probs.items():
-            outcome = OutcomeQuadruple(*key)
-            if any(v not in (-1, 1) for v in outcome):
-                raise ValueError(f"outcome {outcome} has values outside {{+1, -1}}")
+            # A key equal to an outcome (table holds all 16) is stored under
+            # that outcome; any other key takes the field-by-field route.
+            if key not in table:
+                key = OutcomeQuadruple(*key)
+                if any(v not in (-1, 1) for v in key):
+                    raise ValueError(f"outcome {key} has values outside {{+1, -1}}")
             value = float(value)
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"probability of {outcome} is {value!r}")
-            table[outcome] = value
+                raise ValueError(f"probability of {OutcomeQuadruple(*key)} is {value!r}")
+            table[key] = value
         total = math.fsum(table.values())
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -141,8 +145,9 @@ class Scenario:
             raise ValueError(f"unknown initial state {self.initial_state!r}")
 
 
+@functools.cache
 def bell_state() -> StateVector:
-    """Maximally entangled pair (|00> - |11>)/sqrt(2) on Q1 Q2."""
+    """Maximally entangled pair (|00> - |11>)/sqrt(2) on Q1 Q2; built and validated once."""
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[3] = -1.0 / np.sqrt(2.0)
@@ -181,18 +186,30 @@ def build_final_density(s: Scenario) -> DensityMatrix:
     preparations, then applies a controlled Hadamard from Q3 onto Q1 and
     from Q4 onto Q2.  Coin-mode registers contribute one branch per coin
     face; coherent registers contribute a single superposed branch.
+
+    The branches are built on raw arrays with the arithmetic of the public
+    `qcore` wrappers (`kron`, `apply_unitary`, `density_from_state`, `mix`),
+    so the result is bit-identical to that route.  Validation happens at
+    the boundary: each branch's norm and the branch weights are checked as
+    `StateVector` and `mix` check them, and the returned `DensityMatrix`
+    runs its Hermiticity, trace and eigenvalue checks once.
     """
-    pair = _INITIAL_STATES[s.initial_state]()
-    ch = _controlled_hadamard()
-    components = []
-    for w_a, reg3 in _register_branches(s.alice_mode, s.choice_prob):
-        for w_b, reg4 in _register_branches(s.bob_mode, s.choice_prob):
-            amps = np.kron(np.kron(pair.amplitudes, reg3), reg4)
-            state = StateVector(amps)
-            state = apply_unitary(state, ch, [2, 0])
-            state = apply_unitary(state, ch, [3, 1])
-            components.append((w_a * w_b, density_from_state(state)))
-    return mix(components)
+    pair = _INITIAL_STATES[s.initial_state]().amplitudes
+    ch = _controlled_hadamard().matrix
+    branches = [
+        (w_a * w_b, reg3, reg4)
+        for w_a, reg3 in _register_branches(s.alice_mode, s.choice_prob)
+        for w_b, reg4 in _register_branches(s.bob_mode, s.choice_prob)
+    ]
+    _check_weights([w for w, _, _ in branches])
+    total = np.zeros((16, 16), dtype=np.complex128)
+    for w, reg3, reg4 in branches:
+        amps = np.multiply.outer(np.multiply.outer(pair, reg3).ravel(), reg4).ravel()
+        amps = _apply_kernel(amps, ch, [2, 0])
+        amps = _apply_kernel(amps, ch, [3, 1])
+        _check_norm(amps)
+        total += w * np.outer(amps, amps.conj())
+    return DensityMatrix(total)
 
 
 def outcome_distribution(rho: DensityMatrix) -> Distribution:

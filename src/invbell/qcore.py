@@ -2,6 +2,11 @@
 
 State vectors, unitaries, and density matrices are dense complex128 arrays
 (dimension at most 16), validated on construction and read-only afterwards.
+The public wrappers check their invariants on every value that crosses this
+API.  Their arithmetic and their checks are private helpers on raw arrays
+(`_apply_kernel`, `_check_norm`, `_check_weights`), so a caller that builds
+a value in several internal steps, such as `protocol.build_final_density`,
+runs the same arithmetic and validates only the value it returns.
 Qubit 0 is the most significant bit of the basis index: the basis state
 |b0 b1 ... b_{n-1}> has index sum(b_i << (n-1-i)), and tensor products read
 left to right.  All operations are pure functions; nothing here mutates.
@@ -45,6 +50,41 @@ def _qubit_count(dim: int, name: str) -> int:
     return n
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    """A state vector must have unit norm within NORM_ATOL."""
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_ATOL}")
+
+
+def _check_weights(weights: Sequence[float]) -> None:
+    """Mixture weights must be present, nonnegative, and sum to one."""
+    if not weights:
+        raise BadWeights("mixture needs at least one component")
+    weights = np.array(weights, dtype=np.float64)
+    if np.any(weights < 0):
+        raise BadWeights(f"negative mixture weight {weights.min()!r}")
+    if abs(weights.sum() - 1.0) > TRACE_ATOL:
+        raise BadWeights(f"mixture weights sum to {weights.sum()!r}, not 1")
+
+
+def _apply_kernel(amps: np.ndarray, op: np.ndarray, targets: list[int]) -> np.ndarray:
+    """`op` (2^k x 2^k) applied to qubits `targets` of the flat vector `amps`.
+
+    The steps are those of `np.tensordot(op, psi, (range(k, 2k), targets))`
+    followed by `np.moveaxis(psi, range(k), targets)`, without their argument
+    handling, so the result is bit-identical to that route.  Nothing is
+    validated here.
+    """
+    n = amps.shape[0].bit_length() - 1
+    k = len(targets)
+    order = targets + [q for q in range(n) if q not in targets]
+    psi = amps.reshape((2,) * n).transpose(order).reshape(1 << k, 1 << (n - k))
+    psi = np.dot(op, psi).reshape((2,) * n)
+    # moveaxis is the transpose by the inverse of `order`.
+    return psi.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
+
+
 def basis_bit(index: int, qubit: int, n_qubits: int) -> int:
     """Bit of `qubit` in basis state `index` (qubit 0 is most significant)."""
     return (index >> (n_qubits - 1 - qubit)) & 1
@@ -59,9 +99,7 @@ class StateVector:
     def __post_init__(self):
         amps = _as_complex(self.amplitudes, "state vector", ndim=1)
         _qubit_count(amps.shape[0], "state vector")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_ATOL}")
+        _check_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -188,11 +226,7 @@ def apply_unitary(s: StateVector, u: UnitaryMatrix, targets: Sequence[int]) -> S
     n = s.n_qubits
     if len(set(targets)) != k or any(not 0 <= t < n for t in targets):
         raise ValueError(f"targets {targets} must be distinct qubit indices below {n}")
-    psi = s.amplitudes.reshape((2,) * n)
-    op = u.matrix.reshape((2,) * (2 * k))
-    psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), targets))
-    psi = np.moveaxis(psi, list(range(k)), targets)
-    return StateVector(psi.reshape(-1))
+    return StateVector(_apply_kernel(s.amplitudes, u.matrix, targets))
 
 
 def density_from_state(s: StateVector) -> DensityMatrix:
@@ -202,13 +236,7 @@ def density_from_state(s: StateVector) -> DensityMatrix:
 def mix(components: Iterable[tuple[float, DensityMatrix]]) -> DensityMatrix:
     """Convex combination of density matrices."""
     components = list(components)
-    if not components:
-        raise BadWeights("mixture needs at least one component")
-    weights = np.array([w for w, _ in components], dtype=np.float64)
-    if np.any(weights < 0):
-        raise BadWeights(f"negative mixture weight {weights.min()!r}")
-    if abs(weights.sum() - 1.0) > TRACE_ATOL:
-        raise BadWeights(f"mixture weights sum to {weights.sum()!r}, not 1")
+    _check_weights([w for w, _ in components])
     dim = components[0][1].dim
     if any(rho.dim != dim for _, rho in components):
         raise DimensionMismatch("mixture components have unequal dimensions")

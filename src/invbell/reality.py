@@ -27,12 +27,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import MissingSupport
-from .protocol import Distribution
+from .protocol import SIGNS, Distribution
 from .stats import VARIABLES, EventPredicate, conditional, marginal, prob
 
 DEFAULT_EPSILON = 1e-9
-
-SIGNS = (1, -1)
 
 # (target, given) pairs of the chain, in F0..F3 order.
 HARDY_FACTS: tuple[tuple[dict[str, int], dict[str, int]], ...] = (

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EXPECTED_DEFAULT_DIAGONAL
+from invbell import protocol
+from invbell.errors import BadWeights
 from invbell.protocol import (
     OUTCOMES,
     Distribution,
@@ -15,7 +19,16 @@ from invbell.protocol import (
     outcome_distribution,
     outcome_from_index,
 )
-from invbell.qcore import basis_state, density_from_state
+from invbell.qcore import (
+    StateVector,
+    apply_unitary,
+    basis_state,
+    controlled_unitary,
+    density_from_state,
+    hadamard,
+    kron,
+    mix,
+)
 
 probs_01 = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -40,6 +53,14 @@ def test_bell_state_amplitudes():
 
 def test_bell_state_norm():
     assert np.linalg.norm(bell_state().amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bell_state_is_read_only():
+    # bell_state() is built once and shared, so no caller may write to it.
+    amps = bell_state().amplitudes
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0] = 1.0
 
 
 def test_bell_state_correlations():
@@ -89,6 +110,29 @@ def test_distribution_rejects_bad_total():
 def test_distribution_rejects_bad_values():
     with pytest.raises(ValueError):
         Distribution({(1, 1, 1, 0): 1.0})
+
+
+def test_distribution_accepts_plain_tuple_keys_and_numeric_values():
+    d = Distribution({(1, 1, 1, 1): True, (1, 1, 1, -1): 0})
+    assert d.probs[OutcomeQuadruple(1, 1, 1, 1)] == 1.0
+    assert all(type(o) is OutcomeQuadruple for o in d.probs)
+    assert list(d.probs) == list(OUTCOMES)
+    assert Distribution({(-1, -1, -1, -1): 1.0}).probs[OUTCOMES[15]] == 1.0
+
+
+def test_distribution_rejects_wrong_length_key():
+    with pytest.raises(TypeError):
+        Distribution({(1, 1, 1): 1.0})
+
+
+def test_distribution_bad_key_message():
+    with pytest.raises(ValueError, match=r"^outcome OutcomeQuadruple\(q1=1, q2=2, q3=1, q4=1\) has values outside \{\+1, -1\}$"):
+        Distribution({(1, 2, 1, 1): 1.0})
+
+
+def test_distribution_bad_value_message():
+    with pytest.raises(ValueError, match=r"^probability of OutcomeQuadruple\(q1=1, q2=1, q3=1, q4=1\) is nan$"):
+        Distribution({(1, 1, 1, 1): float("nan")})
 
 
 def test_distribution_array_round_trip():
@@ -184,6 +228,59 @@ def test_choice_prob_one_supports_only_z_sectors():
     for outcome, p in d.probs.items():
         if outcome.q3 == -1 or outcome.q4 == -1:
             assert p == 0.0
+
+
+def reference_final_density(s: Scenario):
+    """The final state built step by step through the public, validating wrappers."""
+    p = s.choice_prob
+
+    def branches(mode):
+        if mode == "coherent":
+            return [(1.0, StateVector(np.array([math.sqrt(p), math.sqrt(1.0 - p)])))]
+        faces = [(p, basis_state(1, 0)), (1.0 - p, basis_state(1, 1))]
+        return [(w, reg) for w, reg in faces if w > 0.0]
+
+    ch = controlled_unitary(hadamard(), control=0, target=1, n=2)
+    components = []
+    for w_a, reg3 in branches(s.alice_mode):
+        for w_b, reg4 in branches(s.bob_mode):
+            state = kron(kron(bell_state(), reg3), reg4)
+            state = apply_unitary(state, ch, [2, 0])
+            state = apply_unitary(state, ch, [3, 1])
+            components.append((w_a * w_b, density_from_state(state)))
+    return mix(components)
+
+
+MODE_PAIRS = [(a, b) for a in ("coherent", "coin") for b in ("coherent", "coin")]
+
+
+@pytest.mark.parametrize("modes", MODE_PAIRS)
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.5])
+def test_build_matches_wrapper_reference_bit_for_bit(modes, p):
+    s = Scenario(*modes, choice_prob=p)
+    assert build_final_density(s).matrix.tobytes() == reference_final_density(s).matrix.tobytes()
+
+
+@given(st.sampled_from(MODE_PAIRS), probs_01)
+@settings(max_examples=80, deadline=None)
+def test_build_matches_wrapper_reference_for_any_choice_prob(modes, p):
+    s = Scenario(*modes, choice_prob=p)
+    assert build_final_density(s).matrix.tobytes() == reference_final_density(s).matrix.tobytes()
+
+
+def test_build_rejects_unnormalized_branch(monkeypatch):
+    register = [(1.0, np.array([1.0, 1e-5], dtype=np.complex128))]
+    monkeypatch.setattr(protocol, "_register_branches", lambda mode, z_prob: register)
+    with pytest.raises(ValueError, match="state vector norm"):
+        build_final_density(Scenario())
+
+
+def test_build_rejects_weights_not_summing_to_one(monkeypatch):
+    # The same error mix() raises for these weights.
+    register = [(0.9 ** 0.5, np.array([1.0, 0.0], dtype=np.complex128))]
+    monkeypatch.setattr(protocol, "_register_branches", lambda mode, z_prob: register)
+    with pytest.raises(BadWeights, match="sum to"):
+        build_final_density(Scenario())
 
 
 # --------------------------------------------------------- outcome_distribution

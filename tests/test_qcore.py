@@ -7,6 +7,7 @@ from helpers import random_density, random_state, random_unitary
 from invbell.errors import BadWeights, DimensionMismatch, EmptyKeep, IndexClash
 from invbell.qcore import (
     DensityMatrix,
+    _apply_kernel,
     StateVector,
     UnitaryMatrix,
     apply_unitary,
@@ -185,6 +186,20 @@ def test_apply_dimension_mismatch():
 def test_apply_rejects_duplicate_targets():
     with pytest.raises(ValueError):
         apply_unitary(basis_state(2, 0), kron(hadamard(), hadamard()), [0, 0])
+
+
+@given(seeds, st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_kernel_matches_tensordot_bit_for_bit(seed, n, data):
+    # The kernel has no checks, so any complex operator and vector will do.
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    targets = data.draw(st.permutations(range(n)))[:k]
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    op = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    psi = np.tensordot(op.reshape((2,) * (2 * k)), amps.reshape((2,) * n), axes=(list(range(k, 2 * k)), targets))
+    expected = np.moveaxis(psi, list(range(k)), targets).reshape(-1)
+    assert _apply_kernel(amps, op, targets).tobytes() == expected.tobytes()
 
 
 @given(seeds, st.integers(min_value=1, max_value=4))
