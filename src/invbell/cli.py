@@ -4,6 +4,10 @@ Subcommands: rho, hardy, nosignal, chsh, lhv, sample.  Exit codes: 0 on
 success, 2 on invalid configuration, 3 when an analysis needs support on
 all four (q1, q2) pairs and the distribution lacks it.  Verdicts are
 payload, never exit codes.
+
+SETTINGS names each setting once and gives the flags, the config-file keys
+and their parsing, and the defaults.  Each command is one (runner, view)
+pair: the runner returns the JSON results, the view table lines or CSV rows.
 """
 
 from __future__ import annotations
@@ -16,37 +20,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import MissingSupport
-from .lhv import (
-    CHSH_SIGN_PATTERNS,
-    PAIR_ORDER,
-    conditional_table,
-    local_polytope_check,
-    no_signaling_check,
-)
+from .lhv import CHSH_SIGN_PATTERNS, PAIR_ORDER, conditional_table, local_polytope_check, no_signaling_check
+from .lhv import check_tol
 from .protocol import OUTCOMES, Scenario, bell_state, build_final_density, outcome_distribution
-from .reality import HARDY_FACTS, hardy_chain_check
+from .protocol import check_choice_prob, check_mode
+from .reality import HARDY_FACTS, check_epsilon, hardy_chain_check
 from .stats import ChshSettings, CLASSICAL_BOUND, TSIRELSON_BOUND, correlator, sample
 
 DEFAULT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 4.0, math.pi / 4.0)
 
-DEFAULTS = {
-    "mode": "coherent",
-    "choice_prob": 0.5,
-    "seed": 42,
-    "samples": None,
-    "epsilon": 1e-9,
-    "tol": 1e-9,
-    "format": "table",
-    "diagonal": False,
-    "angles": DEFAULT_ANGLES,
-}
-
-MODES = ("coherent", "coin")
 FORMATS = ("table", "json", "csv")
-COMMANDS = ("rho", "hardy", "nosignal", "chsh", "lhv", "sample")
 
 # Upper bound on --samples: at about 15 ns per draw (2-core Xeon, numpy 2.4),
 # 10^9 draws take about 15 s, while an unbounded count could run for hours.
@@ -55,6 +41,31 @@ MAX_SAMPLES = 10**9
 
 class ConfigError(Exception):
     """Invalid run configuration (maps to exit code 2)."""
+
+
+class Setting(NamedTuple):
+    """One setting: the type its flag and config-file value parse to, its default, and its help."""
+
+    type: type
+    default: object
+    help: str
+    command: Optional[str] = None  # the one subcommand that has the flag; None for all of them
+
+
+SETTINGS = {
+    "mode": Setting(str, "coherent", "choice-register mechanism: coherent or coin"),
+    "choice_prob": Setting(float, 0.5, "probability of choosing Z"),
+    "seed": Setting(int, 42, "64-bit sampling seed"),
+    "samples": Setting(int, None, f"number of draws, at most {MAX_SAMPLES}; analyses go empirical"),
+    "epsilon": Setting(float, 1e-9, "certainty tolerance in [0, 0.5)"),
+    "tol": Setting(float, 1e-9, "signaling / polytope tolerance"),
+    "format": Setting(str, "table", "output format: table, json, or csv"),
+    "diagonal": Setting(bool, False, "print only the 16 diagonal entries", "rho"),
+    "angles": Setting(str, DEFAULT_ANGLES, "a0,a1,b0,b1 in radians", "chsh"),
+}
+
+# Flag and config-file key of each setting: its name with dashes, so a file's `choice_prob=` is unknown.
+_KEYS = {name.replace("_", "-"): name for name in SETTINGS}
 
 
 @dataclass(frozen=True)
@@ -78,28 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
         "no-signaling / CHSH analyses, and sample outcomes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "rho": "print the final four-qubit density matrix",
-        "hardy": "run the four-fact contradiction chain",
-        "nosignal": "check the inverted-scenario no-signaling conditions",
-        "chsh": "evaluate the CHSH combination on the entangled pair",
-        "lhv": "decide local-polytope membership of the inverted-scenario table",
-        "sample": "draw seeded outcomes and report counts",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", metavar="FILE", help="key=value file; flags override it")
-        p.add_argument("--mode", help="choice-register mechanism: coherent or coin")
-        p.add_argument("--choice-prob", dest="choice_prob", type=float, help="probability of choosing Z")
-        p.add_argument("--seed", type=int, help="64-bit sampling seed")
-        p.add_argument("--samples", type=int, help=f"number of draws, at most {MAX_SAMPLES}; analyses go empirical")
-        p.add_argument("--epsilon", type=float, help="certainty tolerance in [0, 0.5)")
-        p.add_argument("--tol", type=float, help="signaling / polytope tolerance")
-        p.add_argument("--format", help="output format: table, json, or csv")
-        if name == "rho":
-            p.add_argument("--diagonal", action="store_true", default=None, help="print only the 16 diagonal entries")
-        if name == "chsh":
-            p.add_argument("--angles", help="a0,a1,b0,b1 in radians")
+        for key, name in _KEYS.items():
+            setting = SETTINGS[name]
+            if setting.command in (None, command):
+                opts = {"action": "store_true", "default": None} if setting.type is bool else {"type": setting.type}
+                p.add_argument("--" + key, help=setting.help, **opts)
     return parser
 
 
@@ -107,19 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _shared_parser() -> argparse.ArgumentParser:
     """One parser per process for main(); parsing leaves the parser unchanged."""
     return build_parser()
-
-
-_FILE_KEYS = {
-    "mode": "mode",
-    "choice-prob": "choice_prob",
-    "seed": "seed",
-    "samples": "samples",
-    "epsilon": "epsilon",
-    "tol": "tol",
-    "format": "format",
-    "diagonal": "diagonal",
-    "angles": "angles",
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -131,7 +115,7 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean from {text!r}")
 
 
-def _parse_number(text: str, kind, name: str):
+def _parse_value(text: str, kind, name: str):
     try:
         return kind(text)
     except ValueError:
@@ -152,19 +136,12 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
-        key = key.strip()
-        text = text.strip()
-        if key not in _FILE_KEYS:
+        key, text = key.strip(), text.strip()
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        name = _FILE_KEYS[key]
-        if name in ("choice_prob", "epsilon", "tol"):
-            values[name] = _parse_number(text, float, name)
-        elif name in ("seed", "samples"):
-            values[name] = _parse_number(text, int, name)
-        elif name == "diagonal":
-            values[name] = _parse_bool(text)
-        else:
-            values[name] = text
+        name = _KEYS[key]
+        kind = SETTINGS[name].type
+        values[name] = _parse_bool(text) if kind is bool else _parse_value(text, kind, name)
     return values
 
 
@@ -174,61 +151,51 @@ def _parse_angles(value) -> tuple[float, float, float, float]:
     parts = [p for p in str(value).split(",") if p.strip()]
     if len(parts) != 4:
         raise ConfigError(f"angles need exactly 4 comma-separated values, got {value!r}")
-    return tuple(_parse_number(p.strip(), float, "angle") for p in parts)
+    return tuple(_parse_value(p.strip(), float, "angle") for p in parts)
+
+
+def _checked(check: Callable, *args):
+    """Run a library check, reporting its ValueError as a ConfigError with the same text."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name):
+    v = {}
+    for name, setting in SETTINGS.items():
         flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return DEFAULTS[name]
-
-    mode = pick("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    choice_prob = float(pick("choice_prob"))
-    if not math.isfinite(choice_prob) or not 0.0 <= choice_prob <= 1.0:
-        raise ConfigError(f"choice-prob must lie in [0, 1], got {choice_prob!r}")
+        v[name] = flag if flag is not None else file_values.get(name, setting.default)
+    v["mode"] = _checked(check_mode, v["mode"], "mode")
+    v["choice_prob"] = _checked(check_choice_prob, v["choice_prob"], "choice-prob")
     # Reduced modulo 2^64 as sample() does, so config.seed matches results.seed.
-    seed = int(pick("seed")) % (1 << 64)
-    samples = pick("samples")
-    if samples is not None:
-        samples = int(samples)
-        if samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {samples}")
-        if samples > MAX_SAMPLES:
-            raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+    v["seed"] = int(v["seed"]) % (1 << 64)
+    samples = v["samples"]
+    if samples is not None and samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    if samples is not None and samples > MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if args.command == "sample" and samples is None:
         raise ConfigError("the sample command requires --samples")
-    epsilon = float(pick("epsilon"))
-    if not math.isfinite(epsilon) or not 0.0 <= epsilon < 0.5:
-        raise ConfigError(f"epsilon must lie in [0, 0.5), got {epsilon!r}")
-    tol = float(pick("tol"))
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ConfigError(f"tol must be nonnegative, got {tol!r}")
-    fmt = pick("format")
-    if fmt not in FORMATS:
-        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    angles = _parse_angles(pick("angles"))
+    v["epsilon"] = _checked(check_epsilon, v["epsilon"])
+    v["tol"] = _checked(check_tol, v["tol"])
+    if v["format"] not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {v['format']!r}")
+    v["angles"] = angles = _parse_angles(v["angles"])
     if any(not math.isfinite(a) for a in angles):
         raise ConfigError(f"angles must be finite, got {angles!r}")
-    return RunConfig(
-        command=args.command,
-        mode=mode,
-        choice_prob=choice_prob,
-        seed=seed,
-        samples=samples,
-        epsilon=epsilon,
-        tol=tol,
-        format=fmt,
-        diagonal=bool(pick("diagonal")),
-        angles=angles,
-    )
+    v["diagonal"] = bool(v["diagonal"])
+    return RunConfig(command=args.command, **v)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _scenario(cfg: RunConfig) -> Scenario:
@@ -242,113 +209,126 @@ def _distribution(cfg: RunConfig):
     return d
 
 
-def _config_payload(cfg: RunConfig) -> dict:
-    payload = {
-        "mode": cfg.mode,
-        "choice_prob": cfg.choice_prob,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "epsilon": cfg.epsilon,
-        "tol": cfg.tol,
-        "format": cfg.format,
-    }
-    if cfg.command == "rho":
-        payload["diagonal"] = cfg.diagonal
-    if cfg.command == "chsh":
-        payload["angles"] = list(cfg.angles)
-    return payload
-
-
 def _outcome_row(outcome, value_name: str, value) -> dict:
     return {"q1": outcome.q1, "q2": outcome.q2, "q3": outcome.q3, "q4": outcome.q4, value_name: value}
+
+
+def _outcome_view(rows: list[dict], value_name: str, table: bool) -> list:
+    if table:
+        return [f"q1 q2 q3 q4 {value_name}"] + [
+            f"{r['q1']:+d} {r['q2']:+d} {r['q3']:+d} {r['q4']:+d} {_fmt(r[value_name])}" for r in rows
+        ]
+    return [["q1", "q2", "q3", "q4", value_name]] + [list(r.values()) for r in rows]
+
+
+def _fields(results: dict, *names: str) -> list[list]:
+    return [[name, results[name]] for name in names]
 
 
 def _run_rho(cfg: RunConfig) -> dict:
     rho = build_final_density(_scenario(cfg))
     if cfg.diagonal:
         probs = outcome_distribution(rho)
-        rows = [_outcome_row(o, "probability", probs.probs[o]) for o in OUTCOMES]
-        return {"diagonal": rows}
-    return {
-        "real": rho.matrix.real.tolist(),
-        "imag": rho.matrix.imag.tolist(),
-    }
+        return {"diagonal": [_outcome_row(o, "probability", probs.probs[o]) for o in OUTCOMES]}
+    return {"real": rho.matrix.real.tolist(), "imag": rho.matrix.imag.tolist()}
 
 
-def _predicate_label(constraints: dict) -> str:
-    return ",".join(f"{k}={v:+d}" for k, v in constraints.items())
+def _view_rho(results: dict, table: bool) -> list:
+    if "diagonal" in results:
+        return _outcome_view(results["diagonal"], "probability", table)
+    real, imag = results["real"], results["imag"]
+    if table:
+        lines = [" ".join(_fmt(x) for x in row) for row in real + imag]
+        return ["final density matrix, real part (rows of 16):", *lines[:16], "imaginary part:", *lines[16:]]
+    return [["row", "col", "real", "imag"]] + [
+        [i, j, re_row[j], im_row[j]] for i, (re_row, im_row) in enumerate(zip(real, imag)) for j in range(16)
+    ]
+
+
+# (target, given) labels of HARDY_FACTS, such as ("q3=+1,q4=+1", "q1=+1,q2=+1").
+_FACT_LABELS = [tuple(",".join(f"{k}={v:+d}" for k, v in event.items()) for event in fact) for fact in HARDY_FACTS]
 
 
 def _run_hardy(cfg: RunConfig) -> dict:
     report = hardy_chain_check(_distribution(cfg), cfg.epsilon)
     facts = [
-        {
-            "name": f"f{i}",
-            "target": _predicate_label(target),
-            "given": _predicate_label(given),
-            "value": value,
-            "established": flag,
-        }
-        for i, ((target, given), value, flag) in enumerate(
-            zip(HARDY_FACTS, report.values, report.established)
-        )
+        {"name": f"f{i}", "target": target, "given": given, "value": value, "established": flag}
+        for i, ((target, given), value, flag) in enumerate(zip(_FACT_LABELS, report.values, report.established))
     ]
-    return {
-        "f0": report.f0,
-        "f1": report.f1,
-        "f2": report.f2,
-        "f3": report.f3,
-        "established": list(report.established),
-        "contradiction": report.contradiction,
-        "verdict": "CONTRADICTION" if report.contradiction else "CONSISTENT",
-        "epsilon": report.epsilon,
-        "facts": facts,
-    }
+    verdict = "CONTRADICTION" if report.contradiction else "CONSISTENT"
+    return {**vars(report), "verdict": verdict, "facts": facts}
+
+
+def _view_hardy(results: dict, table: bool) -> list:
+    facts = results["facts"]
+    if table:
+        lines = [f"hardy chain (epsilon={_fmt(results['epsilon'])})"]
+        for f in facts:
+            flag = "established" if f["established"] else "NOT ESTABLISHED"
+            lines.append(f"{f['name']} = P({f['target']} | {f['given']}) = {_fmt(f['value'])}  [{flag}]")
+        return lines + [f"verdict: {results['verdict']}"]
+    rows = [["field", "value", "established"], *([f["name"], f["value"], f["established"]] for f in facts)]
+    return rows + [["contradiction", results["contradiction"], ""], ["verdict", results["verdict"], ""]]
 
 
 def _table_payload(table) -> dict:
-    return {
-        "inputs": [list(pair) for pair in PAIR_ORDER],
-        "outputs": [list(pair) for pair in PAIR_ORDER],
-        "entries": table.entries.tolist(),
-    }
+    pairs = [list(pair) for pair in PAIR_ORDER]
+    return {"inputs": pairs, "outputs": pairs, "entries": table.entries.tolist()}
+
+
+def _table_lines(results: dict) -> list[str]:
+    """The conditional table of a nosignal or lhv result, then its two signaling deltas."""
+    table = results["table"]
+    return [
+        "P(q3,q4|q1,q2)  " + " ".join(f"({a:+d},{b:+d})" for a, b in table["outputs"]),
+        *(
+            f"({a:+d},{b:+d})  " + " ".join(_fmt(x) for x in row)
+            for (a, b), row in zip(table["inputs"], table["entries"])
+        ),
+        f"delta_q3 = {_fmt(results['delta_q3'])}",
+        f"delta_q4 = {_fmt(results['delta_q4'])}",
+    ]
 
 
 def _run_nosignal(cfg: RunConfig) -> dict:
     table = conditional_table(_distribution(cfg))
     report = no_signaling_check(table, cfg.tol)
-    return {
-        "delta_q3": report.delta_q3,
-        "delta_q4": report.delta_q4,
-        "signaling": report.signaling,
-        "verdict": "SIGNALING" if report.signaling else "NO-SIGNALING",
-        "tol": report.tol,
-        "table": _table_payload(table),
-    }
+    verdict = "SIGNALING" if report.signaling else "NO-SIGNALING"
+    return {**vars(report), "verdict": verdict, "table": _table_payload(table)}
+
+
+def _view_nosignal(results: dict, table: bool) -> list:
+    if table:
+        return [*_table_lines(results), f"verdict: {results['verdict']} (tol={_fmt(results['tol'])})"]
+    return [["field", "value"], *_fields(results, "delta_q3", "delta_q4", "signaling", "verdict", "tol")]
 
 
 def _run_chsh(cfg: RunConfig) -> dict:
-    settings = ChshSettings(*cfg.angles)
+    angles = dict(vars(ChshSettings(*cfg.angles)))
     state = bell_state()
-    correlators = {
-        "e_a0_b0": correlator(state, settings.a0, settings.b0),
-        "e_a0_b1": correlator(state, settings.a0, settings.b1),
-        "e_a1_b0": correlator(state, settings.a1, settings.b0),
-        "e_a1_b1": correlator(state, settings.a1, settings.b1),
-    }
-    value = (
-        correlators["e_a0_b0"]
-        + correlators["e_a0_b1"]
-        + correlators["e_a1_b0"]
-        - correlators["e_a1_b1"]
-    )
+    # `correlator` is looked up in this module on each call, so it can be patched here.
+    correlators = {f"e_{a}_{b}": correlator(state, angles[a], angles[b]) for a in ("a0", "a1") for b in ("b0", "b1")}
+    e00, e01, e10, e11 = correlators.values()
     return {
-        "angles": {"a0": settings.a0, "a1": settings.a1, "b0": settings.b0, "b1": settings.b1},
+        "angles": angles,
         "correlators": correlators,
-        "chsh": value,
+        "chsh": e00 + e01 + e10 - e11,
         "classical_bound": CLASSICAL_BOUND,
         "quantum_maximum": TSIRELSON_BOUND,
     }
+
+
+def _view_chsh(results: dict, table: bool) -> list:
+    angles, correlators = results["angles"], results["correlators"]
+    if table:
+        return [
+            "settings: " + " ".join(f"{k}={_fmt(v)}" for k, v in angles.items()),
+            *(f"{k} = {_fmt(v)}" for k, v in correlators.items()),
+            f"chsh = {_fmt(results['chsh'])}",
+            f"classical_bound = {_fmt(results['classical_bound'])}, "
+            f"quantum_maximum = {_fmt(results['quantum_maximum'])}",
+        ]
+    return [["field", "value"], *angles.items(), *correlators.items(), ["chsh", results["chsh"]]]
 
 
 def _run_lhv(cfg: RunConfig) -> dict:
@@ -370,172 +350,64 @@ def _run_lhv(cfg: RunConfig) -> dict:
     }
 
 
+def _view_lhv(results: dict, table: bool) -> list:
+    combinations = [(",".join(f"{s:+d}" for s in c["signs"]), c["value"]) for c in results["combinations"]]
+    if table:
+        return [
+            *_table_lines(results),
+            *(f"combination ({signs}) = {_fmt(value)}" for signs, value in combinations),
+            f"verdict: {results['verdict']} (tol={_fmt(results['tol'])})",
+            f"witness: {results['witness']}",
+        ]
+    rows = [["field", "value"], *_fields(results, "verdict", "delta_q3", "delta_q4")]
+    rows += [[f"combination({signs})", value] for signs, value in combinations]
+    return rows + _fields(results, "witness", "tol")
+
+
 def _run_sample(cfg: RunConfig) -> dict:
-    d = outcome_distribution(build_final_density(_scenario(cfg)))
-    report = sample(d, cfg.samples, cfg.seed)
-    rows = [_outcome_row(o, "count", report.counts[o]) for o in OUTCOMES]
-    return {
-        "n": report.n,
-        "seed": report.seed,
-        "tv_distance": report.tv_distance,
-        "counts": rows,
-    }
+    report = sample(outcome_distribution(build_final_density(_scenario(cfg))), cfg.samples, cfg.seed)
+    return {**vars(report), "counts": [_outcome_row(o, "count", report.counts[o]) for o in OUTCOMES]}
 
 
-_RUNNERS = {
-    "rho": _run_rho,
-    "hardy": _run_hardy,
-    "nosignal": _run_nosignal,
-    "chsh": _run_chsh,
-    "lhv": _run_lhv,
-    "sample": _run_sample,
+def _view_sample(results: dict, table: bool) -> list:
+    header = [f"n={results['n']} seed={results['seed']} tv_distance={_fmt(results['tv_distance'])}"] if table else []
+    return header + _outcome_view(results["counts"], "count", table)
+
+
+class Command(NamedTuple):
+    """A subcommand's help, its runner, and its view; view(results, table) builds table lines, else CSV rows."""
+
+    help: str
+    run: Callable[[RunConfig], dict]
+    view: Callable[[dict, bool], list]
+
+
+_COMMANDS = {
+    "rho": Command("print the final four-qubit density matrix", _run_rho, _view_rho),
+    "hardy": Command("run the four-fact contradiction chain", _run_hardy, _view_hardy),
+    "nosignal": Command("check the inverted-scenario no-signaling conditions", _run_nosignal, _view_nosignal),
+    "chsh": Command("evaluate the CHSH combination on the entangled pair", _run_chsh, _view_chsh),
+    "lhv": Command("decide local-polytope membership of the inverted-scenario table", _run_lhv, _view_lhv),
+    "sample": Command("draw seeded outcomes and report counts", _run_sample, _view_sample),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig) -> dict:
-    return {"command": cfg.command, "config": _config_payload(cfg), "results": _RUNNERS[cfg.command](cfg)}
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _render_table(cfg: RunConfig, payload: dict) -> str:
-    results = payload["results"]
-    lines: list[str] = []
-    if cfg.command == "rho":
-        if cfg.diagonal:
-            lines.append("q1 q2 q3 q4 probability")
-            for row in results["diagonal"]:
-                lines.append(
-                    f"{row['q1']:+d} {row['q2']:+d} {row['q3']:+d} {row['q4']:+d} {_fmt(row['probability'])}"
-                )
-        else:
-            lines.append("final density matrix, real part (rows of 16):")
-            for row in results["real"]:
-                lines.append(" ".join(_fmt(x) for x in row))
-            lines.append("imaginary part:")
-            for row in results["imag"]:
-                lines.append(" ".join(_fmt(x) for x in row))
-    elif cfg.command == "hardy":
-        lines.append(f"hardy chain (epsilon={_fmt(results['epsilon'])})")
-        for fact in results["facts"]:
-            flag = "established" if fact["established"] else "NOT ESTABLISHED"
-            lines.append(
-                f"{fact['name']} = P({fact['target']} | {fact['given']}) = {_fmt(fact['value'])}  [{flag}]"
-            )
-        lines.append(f"verdict: {results['verdict']}")
-    elif cfg.command == "nosignal":
-        lines.extend(_table_lines(results["table"]))
-        lines.append(f"delta_q3 = {_fmt(results['delta_q3'])}")
-        lines.append(f"delta_q4 = {_fmt(results['delta_q4'])}")
-        lines.append(f"verdict: {results['verdict']} (tol={_fmt(results['tol'])})")
-    elif cfg.command == "chsh":
-        angles = results["angles"]
-        lines.append(
-            "settings: "
-            + " ".join(f"{k}={_fmt(angles[k])}" for k in ("a0", "a1", "b0", "b1"))
-        )
-        for key in ("e_a0_b0", "e_a0_b1", "e_a1_b0", "e_a1_b1"):
-            lines.append(f"{key} = {_fmt(results['correlators'][key])}")
-        lines.append(f"chsh = {_fmt(results['chsh'])}")
-        lines.append(
-            f"classical_bound = {_fmt(results['classical_bound'])}, "
-            f"quantum_maximum = {_fmt(results['quantum_maximum'])}"
-        )
-    elif cfg.command == "lhv":
-        lines.extend(_table_lines(results["table"]))
-        lines.append(f"delta_q3 = {_fmt(results['delta_q3'])}")
-        lines.append(f"delta_q4 = {_fmt(results['delta_q4'])}")
-        for combo in results["combinations"]:
-            signs = ",".join(f"{s:+d}" for s in combo["signs"])
-            lines.append(f"combination ({signs}) = {_fmt(combo['value'])}")
-        lines.append(f"verdict: {results['verdict']} (tol={_fmt(results['tol'])})")
-        lines.append(f"witness: {results['witness']}")
-    elif cfg.command == "sample":
-        lines.append(
-            f"n={results['n']} seed={results['seed']} tv_distance={_fmt(results['tv_distance'])}"
-        )
-        lines.append("q1 q2 q3 q4 count")
-        for row in results["counts"]:
-            lines.append(f"{row['q1']:+d} {row['q2']:+d} {row['q3']:+d} {row['q4']:+d} {row['count']}")
-    return "\n".join(lines) + "\n"
-
-
-def _table_lines(table_payload: dict) -> list[str]:
-    header = "P(q3,q4|q1,q2)  " + " ".join(
-        f"({a:+d},{b:+d})" for a, b in table_payload["outputs"]
-    )
-    lines = [header]
-    for (a, b), row in zip(table_payload["inputs"], table_payload["entries"]):
-        lines.append(f"({a:+d},{b:+d})  " + " ".join(_fmt(x) for x in row))
-    return lines
-
-
-def _render_csv(cfg: RunConfig, payload: dict) -> str:
-    results = payload["results"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if cfg.command == "rho" and cfg.diagonal:
-        writer.writerow(["q1", "q2", "q3", "q4", "probability"])
-        for row in results["diagonal"]:
-            writer.writerow([row["q1"], row["q2"], row["q3"], row["q4"], _fmt(row["probability"])])
-    elif cfg.command == "rho":
-        writer.writerow(["row", "col", "real", "imag"])
-        for i, (re_row, im_row) in enumerate(zip(results["real"], results["imag"])):
-            for j in range(16):
-                writer.writerow([i, j, _fmt(re_row[j]), _fmt(im_row[j])])
-    elif cfg.command == "hardy":
-        writer.writerow(["field", "value", "established"])
-        for fact in results["facts"]:
-            writer.writerow([fact["name"], _fmt(fact["value"]), _fmt(fact["established"])])
-        writer.writerow(["contradiction", _fmt(results["contradiction"]), ""])
-        writer.writerow(["verdict", results["verdict"], ""])
-    elif cfg.command == "nosignal":
-        writer.writerow(["field", "value"])
-        writer.writerow(["delta_q3", _fmt(results["delta_q3"])])
-        writer.writerow(["delta_q4", _fmt(results["delta_q4"])])
-        writer.writerow(["signaling", _fmt(results["signaling"])])
-        writer.writerow(["verdict", results["verdict"]])
-        writer.writerow(["tol", _fmt(results["tol"])])
-    elif cfg.command == "chsh":
-        writer.writerow(["field", "value"])
-        for key in ("a0", "a1", "b0", "b1"):
-            writer.writerow([key, _fmt(results["angles"][key])])
-        for key in ("e_a0_b0", "e_a0_b1", "e_a1_b0", "e_a1_b1"):
-            writer.writerow([key, _fmt(results["correlators"][key])])
-        writer.writerow(["chsh", _fmt(results["chsh"])])
-    elif cfg.command == "lhv":
-        writer.writerow(["field", "value"])
-        writer.writerow(["verdict", results["verdict"]])
-        writer.writerow(["delta_q3", _fmt(results["delta_q3"])])
-        writer.writerow(["delta_q4", _fmt(results["delta_q4"])])
-        for combo in results["combinations"]:
-            signs = ",".join(f"{s:+d}" for s in combo["signs"])
-            writer.writerow([f"combination({signs})", _fmt(combo["value"])])
-        writer.writerow(["witness", results["witness"]])
-        writer.writerow(["tol", _fmt(results["tol"])])
-    elif cfg.command == "sample":
-        writer.writerow(["q1", "q2", "q3", "q4", "count"])
-        for row in results["counts"]:
-            writer.writerow([row["q1"], row["q2"], row["q3"], row["q4"], row["count"]])
-    return buffer.getvalue()
+    config = {k: v for k, v in vars(cfg).items() if k in SETTINGS and SETTINGS[k].command in (None, cfg.command)}
+    return {"command": cfg.command, "config": config, "results": _COMMANDS[cfg.command].run(cfg)}
 
 
 def render(cfg: RunConfig, payload: dict) -> str:
     if cfg.format == "json":
-        return _render_json(payload)
-    if cfg.format == "csv":
-        return _render_csv(cfg, payload)
-    return _render_table(cfg, payload)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    view = _COMMANDS[cfg.command].view
+    if cfg.format == "table":
+        return "\n".join(view(payload["results"], True)) + "\n"
+    buffer = io.StringIO()
+    rows = view(payload["results"], False)
+    csv.writer(buffer, lineterminator="\n").writerows(map(_fmt, row) for row in rows)
+    return buffer.getvalue()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

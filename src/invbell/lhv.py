@@ -149,10 +149,17 @@ def conditional_table(d: Distribution) -> ConditionalTable:
     return ConditionalTable(table)
 
 
+def check_tol(tol: float) -> float:
+    """`tol` as a float; a tolerance must be finite and nonnegative."""
+    value = float(tol)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    return value
+
+
 def no_signaling_check(t: ConditionalTable, tol: float = DEFAULT_TOL) -> SignalingReport:
     """Largest dependence of each register's marginal on the remote outcome."""
-    if tol < 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    tol = check_tol(tol)
     delta_q3 = max(
         abs(t.output_marginal("q3", q1, 1) - t.output_marginal("q3", q1, -1)) for q1 in SIGNS
     )
@@ -163,7 +170,7 @@ def no_signaling_check(t: ConditionalTable, tol: float = DEFAULT_TOL) -> Signali
         delta_q3=float(delta_q3),
         delta_q4=float(delta_q4),
         signaling=max(delta_q3, delta_q4) > tol,
-        tol=float(tol),
+        tol=tol,
     )
 
 

@@ -50,6 +50,21 @@ CHOICE_MODES = ("coherent", "coin")
 BASES = ("Z", "X")
 
 
+def check_mode(mode: str, name: str) -> str:
+    """`mode` if it is one of CHOICE_MODES; `name` is what the error message calls it."""
+    if mode not in CHOICE_MODES:
+        raise ValueError(f"{name} must be one of {CHOICE_MODES}, got {mode!r}")
+    return mode
+
+
+def check_choice_prob(choice_prob: float, name: str) -> float:
+    """`choice_prob` as a float in [0, 1]; `name` is what the error message calls it."""
+    p = float(choice_prob)
+    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {choice_prob!r}")
+    return p
+
+
 class OutcomeQuadruple(NamedTuple):
     """One joint outcome; each field is +1 or -1."""
 
@@ -134,13 +149,9 @@ class Scenario:
     initial_state: str = "phi-minus"
 
     def __post_init__(self):
-        for name, mode in (("alice_mode", self.alice_mode), ("bob_mode", self.bob_mode)):
-            if mode not in CHOICE_MODES:
-                raise ValueError(f"{name} must be one of {CHOICE_MODES}, got {mode!r}")
-        p = float(self.choice_prob)
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"choice_prob must lie in [0, 1], got {self.choice_prob!r}")
-        object.__setattr__(self, "choice_prob", p)
+        check_mode(self.alice_mode, "alice_mode")
+        check_mode(self.bob_mode, "bob_mode")
+        object.__setattr__(self, "choice_prob", check_choice_prob(self.choice_prob, "choice_prob"))
         if self.initial_state not in _INITIAL_STATES:
             raise ValueError(f"unknown initial state {self.initial_state!r}")
 

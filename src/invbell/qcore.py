@@ -85,11 +85,6 @@ def _apply_kernel(amps: np.ndarray, op: np.ndarray, targets: list[int]) -> np.nd
     return psi.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
 
 
-def basis_bit(index: int, qubit: int, n_qubits: int) -> int:
-    """Bit of `qubit` in basis state `index` (qubit 0 is most significant)."""
-    return (index >> (n_qubits - 1 - qubit)) & 1
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state over 1..4 qubits."""

@@ -41,7 +41,8 @@ HARDY_FACTS: tuple[tuple[dict[str, int], dict[str, int]], ...] = (
 )
 
 
-def _check_epsilon(epsilon: float) -> float:
+def check_epsilon(epsilon: float) -> float:
+    """`epsilon` as a float; the certainty tolerance must lie in [0, 0.5)."""
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon!r}")
@@ -102,7 +103,7 @@ def certainty_predictions(d: Distribution, epsilon: float = DEFAULT_EPSILON) -> 
     The conditioning events range over all partial assignments of the other
     three variables, the empty assignment included.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     predictions = []
     for variable in VARIABLES:
         others = [v for v in VARIABLES if v != variable]
@@ -125,7 +126,7 @@ def hardy_chain_check(d: Distribution, epsilon: float = DEFAULT_EPSILON) -> Hard
     Never raises on degenerate support: a fact whose conditioning event has
     probability zero is reported with value 0.0 and established=False.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     values: list[float] = []
     established: list[bool] = []
     for target, given in HARDY_FACTS:

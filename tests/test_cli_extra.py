@@ -1,0 +1,160 @@
+"""Golden CLI bytes that `tests/golden/cli.json` does not cover.
+
+`tests/golden/cli_extra.json` holds the exit code, stdout and stderr of the
+`--help` texts, of argparse-level errors, of `--config` runs and of every
+config-file error.  Each case runs in a fresh working directory that holds
+the files of CONFIG_FILES under fixed relative names, so the path in a
+message is the same bytes from run to run.  After a deliberate output
+change, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_extra.py
+
+and explain in CHANGES.md which bytes changed and why.
+
+The help texts and argparse's own error messages are argparse's wording,
+which CPython changed after 3.11; those cases are pinned for the 3.10 and
+3.11 interpreters that CI runs.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from invbell import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_extra.json"
+
+CONFIG_FILES = {
+    "values.cfg": "mode=coin\nchoice-prob=0.25\nseed=5\nformat=json\n# comment line\n\nepsilon=0.01\ntol=1e-6\n",
+    "rho.cfg": "diagonal=yes\nformat=csv\n",
+    "chsh.cfg": "angles=0.1, 0.2,0.3 ,0.4\nformat=json\n",
+    "sample.cfg": "samples=100\nseed=9\n",
+    "no_equals.cfg": "mode coin\n",
+    "unknown_key.cfg": "flux_capacitance=1.21\n",
+    "underscore_key.cfg": "choice_prob=0.3\n",
+    "bad_float.cfg": "choice-prob=abc\n",
+    "bad_int.cfg": "seed=1.5\n",
+    "bad_samples.cfg": "samples=many\n",
+    "bad_bool.cfg": "diagonal=maybe\n",
+    "bad_angle.cfg": "angles=0,x,0,0\n",
+    "bad_mode.cfg": "mode=bogus\n",
+}
+
+ARGPARSE_CASES = [
+    [],
+    ["--help"],
+    *([command, "--help"] for command in cli.COMMANDS),
+    ["hardy", "--seed", "abc"],
+    ["hardy", "--choice-prob", "x"],
+    ["sample", "--samples", "2.5"],
+    ["rho", "--angles", "0,0,0,0"],
+    ["entangle"],
+]
+
+CASES = [
+    *ARGPARSE_CASES,
+    # config files: values used, flags overriding them, keys other commands ignore
+    ["hardy", "--config", "values.cfg"],
+    ["hardy", "--config", "values.cfg", "--format", "table", "--epsilon", "0.001"],
+    ["nosignal", "--config", "values.cfg", "--format", "csv"],
+    ["lhv", "--config", "values.cfg", "--tol", "0.5"],
+    ["rho", "--config", "rho.cfg"],
+    ["rho", "--config", "rho.cfg", "--format", "json", "--mode", "coin"],
+    ["hardy", "--config", "rho.cfg"],
+    ["chsh", "--config", "chsh.cfg"],
+    ["sample", "--config", "sample.cfg", "--format", "json"],
+    ["sample", "--config", "sample.cfg", "--samples", "20", "--seed", "1"],
+    # config-file errors
+    ["hardy", "--config", "missing.cfg"],
+    ["hardy", "--config", "no_equals.cfg"],
+    ["hardy", "--config", "unknown_key.cfg"],
+    ["hardy", "--config", "underscore_key.cfg"],
+    ["hardy", "--config", "bad_float.cfg"],
+    ["hardy", "--config", "bad_int.cfg"],
+    ["sample", "--config", "bad_samples.cfg"],
+    ["rho", "--config", "bad_bool.cfg"],
+    ["chsh", "--config", "bad_angle.cfg"],
+    ["rho", "--config", "bad_mode.cfg"],
+    # range checks on values that parse
+    ["nosignal", "--tol", "nan"],
+    ["lhv", "--tol", "inf"],
+    ["lhv", "--tol=-inf"],
+    ["hardy", "--epsilon", "nan"],
+    ["hardy", "--epsilon=-inf"],
+    ["rho", "--choice-prob", "1.5"],
+    ["rho", "--choice-prob", "nan"],
+    ["sample", "--samples", "1000000001"],
+    ["chsh", "--angles", "0,inf,0,0"],
+]
+
+
+def invoke(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {
+        "argv": list(argv),
+        "exit_code": code,
+        "stdout": out.getvalue().splitlines(keepends=True),
+        "stderr": err.getvalue().splitlines(keepends=True),
+    }
+
+
+@contextlib.contextmanager
+def case_directory():
+    """A fresh working directory holding CONFIG_FILES, with the terminal width fixed for help texts."""
+    old_cwd, old_columns = os.getcwd(), os.environ.get("COLUMNS")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CONFIG_FILES.items():
+            pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)
+        os.environ["COLUMNS"] = "80"
+        try:
+            yield
+        finally:
+            os.chdir(old_cwd)
+            if old_columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = old_columns
+
+
+def _case_id(argv: list[str]) -> str:
+    return " ".join(argv) or "(no arguments)"
+
+
+@functools.cache
+def _load() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_load()) == sorted(_case_id(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_case_id)
+def test_cli_bytes_match_golden(argv):
+    if argv in ARGPARSE_CASES and sys.version_info[:2] not in ((3, 10), (3, 11)):
+        pytest.skip("argparse wording is pinned for CPython 3.10 and 3.11")
+    with case_directory():
+        assert invoke(argv) == _load()[_case_id(argv)]
+
+
+if __name__ == "__main__":
+    with case_directory():
+        golden = {_case_id(argv): invoke(argv) for argv in CASES}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(golden)} cases to {GOLDEN}")

@@ -147,6 +147,18 @@ def test_no_signaling_rejects_negative_tol(default_distribution):
         no_signaling_check(conditional_table(default_distribution), tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("check", [no_signaling_check, local_polytope_check])
+def test_non_finite_tol_is_rejected(check, tol, default_distribution):
+    # Unchecked, nan would pass the signaling default table and a deterministic
+    # table, and inf would call the PR box local.
+    tables = [conditional_table(default_distribution), strategy_table(enumerate_strategies()[0][0]), pr_box_table()]
+    for table in tables:
+        with pytest.raises(ValueError) as exc:
+            check(table, tol)
+        assert str(exc.value) == f"tol must be nonnegative, got {tol!r}"
+
+
 # -------------------------------------------------------- enumerate_strategies
 
 

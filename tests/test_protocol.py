@@ -165,6 +165,22 @@ def test_scenario_rejects_bad_prob():
         Scenario(choice_prob=1.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"alice_mode": "quantum"}, "alice_mode must be one of ('coherent', 'coin'), got 'quantum'"),
+        ({"bob_mode": "Coin"}, "bob_mode must be one of ('coherent', 'coin'), got 'Coin'"),
+        ({"choice_prob": 2}, "choice_prob must lie in [0, 1], got 2"),
+        ({"choice_prob": float("nan")}, "choice_prob must lie in [0, 1], got nan"),
+        ({"choice_prob": -0.25}, "choice_prob must lie in [0, 1], got -0.25"),
+    ],
+)
+def test_scenario_error_messages(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        Scenario(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_scenario_rejects_unknown_state():
     with pytest.raises(ValueError):
         Scenario(initial_state="ghz")
