@@ -148,10 +148,10 @@ def _read_config_file(path: str) -> dict:
 def _parse_angles(value) -> tuple[float, float, float, float]:
     if isinstance(value, tuple):
         return value
-    parts = [p for p in str(value).split(",") if p.strip()]
-    if len(parts) != 4:
+    parts = [p.strip() for p in str(value).split(",")]
+    if len(parts) != 4 or not all(parts):
         raise ConfigError(f"angles need exactly 4 comma-separated values, got {value!r}")
-    return tuple(_parse_value(p.strip(), float, "angle") for p in parts)
+    return tuple(_parse_value(p, float, "angle") for p in parts)
 
 
 def _checked(check: Callable, *args):

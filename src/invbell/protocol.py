@@ -47,7 +47,6 @@ from .qcore import (
 PROB_ATOL = 1e-12
 
 CHOICE_MODES = ("coherent", "coin")
-BASES = ("Z", "X")
 
 
 def check_mode(mode: str, name: str) -> str:

@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import MissingSupport
+from .lhv import PAIR_ORDER, conditional_table, enumerate_strategies
 from .protocol import SIGNS, Distribution
-from .stats import VARIABLES, EventPredicate, conditional, marginal, prob
+from .stats import VARIABLES, EventPredicate, conditional, prob
 
 DEFAULT_EPSILON = 1e-9
 
@@ -160,23 +160,13 @@ def response_model_refutation(d: Distribution) -> list[tuple[ResponseFunction, R
     A pair is refuted when some (q1, q2) combination with positive
     probability never produces the pair's predicted register values.  This
     is weaker than the certainty chain: surviving pairs only show that
-    support alone cannot rule the model out.
+    support alone cannot rule the model out.  The pairs are the strategies
+    of lhv.enumerate_strategies, in its order; lhv.conditional_table raises
+    MissingSupport when a (q1, q2) pair has probability zero.
     """
-    pair_probs = marginal(d, ("q1", "q2"))
-    for q1 in SIGNS:
-        for q2 in SIGNS:
-            if pair_probs.get((q1, q2), 0.0) <= 0.0:
-                raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
-    survivors = []
-    for f_plus, f_minus in itertools.product(SIGNS, repeat=2):
-        f = ResponseFunction("q3", "q1", f_plus, f_minus)
-        for g_plus, g_minus in itertools.product(SIGNS, repeat=2):
-            g = ResponseFunction("q4", "q2", g_plus, g_minus)
-            consistent = all(
-                conditional(d, {"q3": f(q1), "q4": g(q2)}, {"q1": q1, "q2": q2}) > 0.0
-                for q1 in SIGNS
-                for q2 in SIGNS
-            )
-            if consistent:
-                survivors.append((f, g))
-    return survivors
+    table = conditional_table(d)
+    return [
+        (ResponseFunction("q3", "q1", *s.f), ResponseFunction("q4", "q2", *s.g))
+        for s, _ in enumerate_strategies()
+        if all(table.entry(q1, q2, s.f_of(q1), s.g_of(q2)) > 0.0 for q1, q2 in PAIR_ORDER)
+    ]

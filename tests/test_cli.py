@@ -152,6 +152,27 @@ def test_missing_support_exit_code(capsys):
     assert "support" in err or "probability zero" in err
 
 
+EMPTY_FIELD_ANGLES = ["0,,1,2,3", "0,1,2,3,", ",0,1,2,3", "0, ,2,3", "0,,1,2", ",,,"]
+
+
+@pytest.mark.parametrize("angles", EMPTY_FIELD_ANGLES)
+def test_angles_with_an_empty_field_are_rejected(capsys, angles):
+    code, out, err = run_cli(capsys, "chsh", f"--angles={angles}")
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: angles need exactly 4 comma-separated values, got {angles!r}\n"
+
+
+@pytest.mark.parametrize("angles", EMPTY_FIELD_ANGLES)
+def test_config_file_angles_with_an_empty_field_are_rejected(capsys, tmp_path, angles):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"angles={angles}\n")
+    code, out, err = run_cli(capsys, "chsh", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: angles need exactly 4 comma-separated values, got {angles!r}\n"
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["entangle"])

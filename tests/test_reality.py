@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import SIGNS, all_strategy_distributions, random_distribution, strategy_distribution
 from invbell.errors import MissingSupport
+from invbell.lhv import conditional_table
 from invbell.protocol import Distribution, OutcomeQuadruple
 from invbell.reality import (
     CertaintyPrediction,
@@ -174,6 +175,76 @@ def test_refutation_identity_registers():
 
 def test_refutation_uniform_keeps_everything():
     assert len(response_model_refutation(Distribution.uniform())) == 16
+
+
+# Cells that are not exact zeros but sit far below any real probability: the
+# smallest subnormal, a tiny normal, and the size of build_final_density's roundoff.
+TINY_CELLS = (0.0, 5e-324, 1e-300, 7e-34)
+
+
+@st.composite
+def support_tables(draw, blank_rows=st.just(frozenset())):
+    """Distributions mixing exact zeros, tiny cells and real mass; `blank_rows` (q1, q2) rows are all zero.
+
+    Rows are the (q1, q2) pairs in basis-index order: (+,+), (+,-), (-,+), (-,-).
+    """
+    blank = draw(blank_rows)
+    cells = draw(st.lists(st.sampled_from(TINY_CELLS + (None,)), min_size=16, max_size=16))  # None: real mass
+    for row in blank:
+        cells[4 * row:4 * row + 4] = [0.0] * 4
+    live = [i for i, c in enumerate(cells) if c is None]
+    if not live:
+        live = [draw(st.sampled_from([i for i in range(16) if i // 4 not in blank]))]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(live), max_size=len(live)))
+    total = sum(weights)
+    for i, w in zip(live, weights):
+        cells[i] = w / total
+    return Distribution.from_array(cells)
+
+
+def reference_survivors(d):
+    """Reference survivors: two product loops over stats.conditional, (q1, q2) support checked first."""
+    for q1 in SIGNS:
+        for q2 in SIGNS:
+            if prob(d, {"q1": q1, "q2": q2}) <= 0.0:
+                raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
+    survivors = []
+    for f_plus, f_minus in itertools.product(SIGNS, repeat=2):
+        f = ResponseFunction("q3", "q1", f_plus, f_minus)
+        for g_plus, g_minus in itertools.product(SIGNS, repeat=2):
+            g = ResponseFunction("q4", "q2", g_plus, g_minus)
+            if all(
+                conditional(d, {"q3": f(q1), "q4": g(q2)}, {"q1": q1, "q2": q2}) > 0.0
+                for q1 in SIGNS
+                for q2 in SIGNS
+            ):
+                survivors.append((f, g))
+    return survivors
+
+
+@given(support_tables())
+@settings(max_examples=300, deadline=None)
+def test_refutation_matches_the_product_loops(d):
+    try:
+        expected = reference_survivors(d)
+    except MissingSupport as exc:
+        with pytest.raises(MissingSupport) as raised:
+            response_model_refutation(d)
+        assert str(raised.value) == str(exc)
+    else:
+        assert response_model_refutation(d) == expected
+
+
+@given(support_tables(st.sets(st.integers(0, 3), min_size=1, max_size=3).map(frozenset)))
+@settings(max_examples=100, deadline=None)
+def test_refutation_of_an_unsupported_row_raises_the_table_message(d):
+    with pytest.raises(MissingSupport) as from_table:
+        conditional_table(d)
+    with pytest.raises(MissingSupport) as from_refutation:
+        response_model_refutation(d)
+    with pytest.raises(MissingSupport) as from_loops:
+        reference_survivors(d)
+    assert str(from_refutation.value) == str(from_table.value) == str(from_loops.value)
 
 
 # --------------------------------------------------------------- ResponseFunction
