@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
+from invbell.cli import DEFAULT_ANGLES
 from invbell.protocol import bell_state
-from invbell.stats import ChshSettings, TSIRELSON_BOUND, chsh_value
+from invbell.stats import CLASSICAL_BOUND, ChshSettings, TSIRELSON_BOUND, chsh_value
 
 
 def main():
@@ -30,11 +31,11 @@ def main():
     for _ in range(args.draws):
         angles = rng.uniform(-math.pi, math.pi, size=4)
         value = abs(chsh_value(pair, ChshSettings(*angles)))
-        if value > 2.0:
+        if value > CLASSICAL_BOUND:
             violations += 1
         if value > best:
             best, best_settings = value, angles
-    optimum = chsh_value(pair, ChshSettings(0.0, math.pi / 2.0, -math.pi / 4.0, math.pi / 4.0))
+    optimum = chsh_value(pair, ChshSettings(*DEFAULT_ANGLES))
 
     print(f"draws: {args.draws} (seed {args.seed})")
     print(f"classical bound exceeded in {violations} draws ({100.0 * violations / args.draws:.1f}%)")

@@ -11,7 +11,7 @@ import numpy as np
 from invbell.errors import MissingSupport
 from invbell.lhv import conditional_table, local_polytope_check, no_signaling_check, PAIR_ORDER
 from invbell.protocol import OUTCOMES, Scenario, build_final_density, outcome_distribution
-from invbell.reality import certainty_predictions, hardy_chain_check, response_model_refutation
+from invbell.reality import DEFAULT_EPSILON, certainty_predictions, hardy_chain_check, response_model_refutation
 from invbell.stats import sample
 
 
@@ -36,11 +36,11 @@ def main():
     for outcome in OUTCOMES:
         print(f"  q=({outcome.q1:+d},{outcome.q2:+d},{outcome.q3:+d},{outcome.q4:+d})  p={d.probs[outcome]:.6f}")
 
-    epsilon = 1e-9 if args.samples == 0 else 0.01
+    epsilon = DEFAULT_EPSILON if args.samples == 0 else 0.01
     chain = hardy_chain_check(d, epsilon)
     print(f"\nhardy chain (epsilon={epsilon}):")
     print(f"  f0={chain.f0:.6f} f1={chain.f1:.6f} f2={chain.f2:.6f} f3={chain.f3:.6f}")
-    print(f"  verdict: {'CONTRADICTION' if chain.contradiction else 'CONSISTENT'}")
+    print(f"  verdict: {chain.verdict}")
 
     predictions = certainty_predictions(d, epsilon)
     print(f"\ncertainty predictions ({len(predictions)}):")

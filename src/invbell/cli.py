@@ -18,16 +18,18 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MissingSupport
 from .lhv import CHSH_SIGN_PATTERNS, PAIR_ORDER, conditional_table, local_polytope_check, no_signaling_check
-from .lhv import check_tol
+from .lhv import DEFAULT_TOL, check_tol
 from .protocol import OUTCOMES, Scenario, bell_state, build_final_density, outcome_distribution
 from .protocol import check_choice_prob, check_mode
-from .reality import HARDY_FACTS, check_epsilon, hardy_chain_check
+from .reality import DEFAULT_EPSILON, HARDY_FACTS, check_epsilon, hardy_chain_check
 from .stats import ChshSettings, CLASSICAL_BOUND, TSIRELSON_BOUND, correlator, sample
 
 DEFAULT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 4.0, math.pi / 4.0)
@@ -37,6 +39,10 @@ FORMATS = ("table", "json", "csv")
 # Upper bound on --samples: at about 15 ns per draw (2-core Xeon, numpy 2.4),
 # 10^9 draws take about 15 s, while an unbounded count could run for hours.
 MAX_SAMPLES = 10**9
+
+# Upper bound on a config file's size, far above any real one: a path to a
+# device or a huge file fails fast instead of being read without bound.
+MAX_CONFIG_BYTES = 64 * 1024
 
 
 class ConfigError(Exception):
@@ -57,8 +63,8 @@ SETTINGS = {
     "choice_prob": Setting(float, 0.5, "probability of choosing Z"),
     "seed": Setting(int, 42, "64-bit sampling seed"),
     "samples": Setting(int, None, f"number of draws, at most {MAX_SAMPLES}; analyses go empirical"),
-    "epsilon": Setting(float, 1e-9, "certainty tolerance in [0, 0.5)"),
-    "tol": Setting(float, 1e-9, "signaling / polytope tolerance"),
+    "epsilon": Setting(float, DEFAULT_EPSILON, "certainty tolerance in [0, 0.5)"),
+    "tol": Setting(float, DEFAULT_TOL, "signaling / polytope tolerance"),
     "format": Setting(str, "table", "output format: table, json, or csv"),
     "diagonal": Setting(bool, False, "print only the 16 diagonal entries", "rho"),
     "angles": Setting(str, DEFAULT_ANGLES, "a0,a1,b0,b1 in radians", "chsh"),
@@ -68,18 +74,8 @@ SETTINGS = {
 _KEYS = {name.replace("_", "-"): name for name in SETTINGS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    mode: str
-    choice_prob: float
-    seed: int
-    samples: Optional[int]
-    epsilon: float
-    tol: float
-    format: str
-    diagonal: bool
-    angles: tuple[float, float, float, float]
+# One resolved run: the subcommand, then each setting of SETTINGS in order.
+RunConfig = make_dataclass("RunConfig", ["command", *SETTINGS], frozen=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,10 +119,17 @@ def _parse_value(text: str, kind, name: str):
 
 
 def _read_config_file(path: str) -> dict:
+    """Settings of a key=value file: a regular file of at most MAX_CONFIG_BYTES of UTF-8 text."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
+        # O_NONBLOCK: opening a FIFO must not wait for a writer before fstat rejects it.
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise ConfigError(f"cannot read config file {path}: not a regular file")
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise ConfigError(f"cannot read config file {path}: larger than {MAX_CONFIG_BYTES} bytes")
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -255,8 +258,7 @@ def _run_hardy(cfg: RunConfig) -> dict:
         {"name": f"f{i}", "target": target, "given": given, "value": value, "established": flag}
         for i, ((target, given), value, flag) in enumerate(zip(_FACT_LABELS, report.values, report.established))
     ]
-    verdict = "CONTRADICTION" if report.contradiction else "CONSISTENT"
-    return {**vars(report), "verdict": verdict, "facts": facts}
+    return {**vars(report), "verdict": report.verdict, "facts": facts}
 
 
 def _view_hardy(results: dict, table: bool) -> list:
@@ -293,8 +295,7 @@ def _table_lines(results: dict) -> list[str]:
 def _run_nosignal(cfg: RunConfig) -> dict:
     table = conditional_table(_distribution(cfg))
     report = no_signaling_check(table, cfg.tol)
-    verdict = "SIGNALING" if report.signaling else "NO-SIGNALING"
-    return {**vars(report), "verdict": verdict, "table": _table_payload(table)}
+    return {**vars(report), "verdict": report.verdict, "table": _table_payload(table)}
 
 
 def _view_nosignal(results: dict, table: bool) -> list:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import MissingSupport
 from .protocol import SIGNS, Distribution
+from .stats import CLASSICAL_BOUND
 
 DEFAULT_TOL = 1e-9
 
@@ -93,6 +94,10 @@ class SignalingReport:
     delta_q4: float
     signaling: bool
     tol: float
+
+    @property
+    def verdict(self) -> str:
+        return "SIGNALING" if self.signaling else "NO-SIGNALING"
 
 
 @dataclass(frozen=True)
@@ -223,32 +228,14 @@ def local_polytope_check(t: ConditionalTable, tol: float = DEFAULT_TOL) -> Polyt
         float(sum(sign * e for sign, e in zip(pattern, correlators)))
         for pattern in CHSH_SIGN_PATTERNS
     )
-    if sig.signaling:
-        delta = max(sig.delta_q3, sig.delta_q4)
-        return PolytopeReport(
-            verdict="signaling",
-            signaling=sig,
-            combination_values=values,
-            witness_signs=None,
-            witness_value=delta,
-            witness=f"marginal delta {delta!r} exceeds tol {sig.tol!r}",
-        )
+    signs = value = None
     worst = int(np.argmax(values))
-    if values[worst] <= 2.0 + tol:
-        return PolytopeReport(
-            verdict="local",
-            signaling=sig,
-            combination_values=values,
-            witness_signs=None,
-            witness_value=None,
-            witness="all eight CHSH combinations within the classical bound",
-        )
-    signs = CHSH_SIGN_PATTERNS[worst]
-    return PolytopeReport(
-        verdict="nonlocal-nosignaling",
-        signaling=sig,
-        combination_values=values,
-        witness_signs=signs,
-        witness_value=values[worst],
-        witness=f"combination {signs} reaches {values[worst]!r}",
-    )
+    if sig.signaling:
+        verdict, value = "signaling", max(sig.delta_q3, sig.delta_q4)
+        witness = f"marginal delta {value!r} exceeds tol {sig.tol!r}"
+    elif values[worst] <= CLASSICAL_BOUND + sig.tol:
+        verdict, witness = "local", "all eight CHSH combinations within the classical bound"
+    else:
+        verdict, signs, value = "nonlocal-nosignaling", CHSH_SIGN_PATTERNS[worst], values[worst]
+        witness = f"combination {signs} reaches {value!r}"
+    return PolytopeReport(verdict, sig, values, signs, value, witness)

@@ -139,20 +139,18 @@ class Scenario:
     """Declarative description of one experiment run.
 
     choice_prob is the probability that a party picks the Z basis; both
-    parties use the same value, and both use the fixed basis pair (Z, X).
+    parties use the same value and the fixed basis pair (Z, X), and the
+    entangled pair starts in bell_state().
     """
 
     alice_mode: str = "coherent"
     bob_mode: str = "coherent"
     choice_prob: float = 0.5
-    initial_state: str = "phi-minus"
 
     def __post_init__(self):
         check_mode(self.alice_mode, "alice_mode")
         check_mode(self.bob_mode, "bob_mode")
         object.__setattr__(self, "choice_prob", check_choice_prob(self.choice_prob, "choice_prob"))
-        if self.initial_state not in _INITIAL_STATES:
-            raise ValueError(f"unknown initial state {self.initial_state!r}")
 
 
 @functools.cache
@@ -163,8 +161,6 @@ def bell_state() -> StateVector:
     amps[3] = -1.0 / np.sqrt(2.0)
     return StateVector(amps)
 
-
-_INITIAL_STATES = {"phi-minus": bell_state}
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 _KET1 = np.array([0.0, 1.0], dtype=np.complex128)
@@ -204,7 +200,7 @@ def build_final_density(s: Scenario) -> DensityMatrix:
     `StateVector` and `mix` check them, and the returned `DensityMatrix`
     runs its Hermiticity, trace and eigenvalue checks once.
     """
-    pair = _INITIAL_STATES[s.initial_state]().amplitudes
+    pair = bell_state().amplitudes
     ch = _controlled_hadamard().matrix
     branches = [
         (w_a * w_b, reg3, reg4)

@@ -96,6 +96,10 @@ class HardyReport:
     def values(self) -> tuple[float, float, float, float]:
         return (self.f0, self.f1, self.f2, self.f3)
 
+    @property
+    def verdict(self) -> str:
+        return "CONTRADICTION" if self.contradiction else "CONSISTENT"
+
 
 def certainty_predictions(d: Distribution, epsilon: float = DEFAULT_EPSILON) -> list[CertaintyPrediction]:
     """Every (given, variable, value) with P(given) > 0 and P(value | given) >= 1-eps.

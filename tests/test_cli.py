@@ -220,6 +220,31 @@ def test_config_file_malformed_line(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_file_invalid_utf8_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=\xff\n")
+    code, out, err = run_cli(capsys, "hardy", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_config_file_line_ends_are_universal(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mode=coin\r\nseed=5\rformat=json\n")
+    code, out, _ = run_cli(capsys, "hardy", "--config", str(cfg))
+    config = json.loads(out)["config"]
+    assert (code, config["mode"], config["seed"]) == (0, "coin", 5)
+
+
+def test_config_file_of_64_kib_is_read_whole(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"#" * (64 * 1024 - 12) + b"\nformat=csv\n")
+    assert cfg.stat().st_size == 64 * 1024
+    code, out, _ = run_cli(capsys, "hardy", "--config", str(cfg))
+    assert code == 0 and out.startswith("field,value,established\n")
+
+
 def test_repeated_calls_reproduce_first_bytes(capsys, tmp_path):
     """main() shares one parser per process; no call may leak state into the next."""
     cfg = tmp_path / "run.cfg"

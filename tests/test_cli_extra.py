@@ -3,9 +3,9 @@
 `tests/golden/cli_extra.json` holds the exit code, stdout and stderr of the
 `--help` texts, of argparse-level errors, of `--config` runs and of every
 config-file error.  Each case runs in a fresh working directory that holds
-the files of CONFIG_FILES under fixed relative names, so the path in a
-message is the same bytes from run to run.  After a deliberate output
-change, regenerate the file with
+the files of CONFIG_FILES, a directory and a FIFO under fixed relative
+names, so the path in a message is the same bytes from run to run.  After a
+deliberate output change, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_extra.py
 
@@ -45,6 +45,8 @@ CONFIG_FILES = {
     "bad_bool.cfg": "diagonal=maybe\n",
     "bad_angle.cfg": "angles=0,x,0,0\n",
     "bad_mode.cfg": "mode=bogus\n",
+    "bad_utf8.cfg": b"seed=\xff\n",
+    "too_large.cfg": "#" * (64 * 1024) + "\n",
 }
 
 ARGPARSE_CASES = [
@@ -82,6 +84,12 @@ CASES = [
     ["rho", "--config", "bad_bool.cfg"],
     ["chsh", "--config", "bad_angle.cfg"],
     ["rho", "--config", "bad_mode.cfg"],
+    ["hardy", "--config", "bad_utf8.cfg"],
+    # config paths that are not small regular files
+    ["hardy", "--config", "too_large.cfg"],
+    ["hardy", "--config", "directory.cfg"],
+    ["hardy", "--config", "/dev/zero"],
+    ["hardy", "--config", "fifo.cfg"],
     # range checks on values that parse
     ["nosignal", "--tol", "nan"],
     ["lhv", "--tol", "inf"],
@@ -115,8 +123,11 @@ def case_directory():
     """A fresh working directory holding CONFIG_FILES, with the terminal width fixed for help texts."""
     old_cwd, old_columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in CONFIG_FILES.items():
-            pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+        for name, content in CONFIG_FILES.items():
+            data = content if isinstance(content, bytes) else content.encode("utf-8")
+            pathlib.Path(tmp, name).write_bytes(data)
+        os.mkdir(os.path.join(tmp, "directory.cfg"))
+        os.mkfifo(os.path.join(tmp, "fifo.cfg"))
         os.chdir(tmp)
         os.environ["COLUMNS"] = "80"
         try:

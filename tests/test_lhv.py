@@ -116,6 +116,7 @@ def test_default_table_signals(default_distribution):
     assert report.delta_q3 == pytest.approx(0.5, abs=1e-12)
     assert report.delta_q4 == pytest.approx(0.5, abs=1e-12)
     assert report.signaling
+    assert report.verdict == "SIGNALING" and "verdict" not in vars(report)
 
 
 def test_product_tables_do_not_signal():
@@ -123,6 +124,7 @@ def test_product_tables_do_not_signal():
     report = no_signaling_check(t, tol=1e-9)
     assert report.delta_q3 == 0.0
     assert report.delta_q4 == 0.0
+    assert report.verdict == "NO-SIGNALING"
     assert not report.signaling
 
 
@@ -221,6 +223,13 @@ def test_pr_box_is_nonlocal_nosignaling():
     assert report.verdict == "nonlocal-nosignaling"
     assert report.witness_value == pytest.approx(4.0, abs=1e-12)
     assert report.witness_signs is not None
+
+
+@pytest.mark.parametrize("tol", ["0.1", 0])
+def test_polytope_check_takes_every_tol_the_signaling_check_takes(tol):
+    report = local_polytope_check(pr_box_table(), tol)
+    assert report.verdict == "nonlocal-nosignaling"
+    assert report.signaling.tol == float(tol)
 
 
 def test_eight_sign_patterns_are_distinct():

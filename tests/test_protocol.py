@@ -181,11 +181,6 @@ def test_scenario_error_messages(kwargs, message):
     assert str(exc.value) == message
 
 
-def test_scenario_rejects_unknown_state():
-    with pytest.raises(ValueError):
-        Scenario(initial_state="ghz")
-
-
 # ----------------------------------------------------------- build_final_density
 
 

@@ -83,6 +83,8 @@ def test_chain_on_default_distribution(default_distribution):
     assert report.f3 == pytest.approx(0.0, abs=1e-12)
     assert report.established == (True, True, True, True)
     assert report.contradiction
+    # The label is a property, so vars(report), which the CLI's JSON spreads, keeps only measured fields.
+    assert report.verdict == "CONTRADICTION" and "verdict" not in vars(report)
 
 
 def test_chain_on_uniform_distribution():
@@ -90,6 +92,7 @@ def test_chain_on_uniform_distribution():
     assert report.f1 == pytest.approx(0.5, abs=1e-12)
     assert report.f2 == pytest.approx(0.5, abs=1e-12)
     assert not report.contradiction
+    assert report.verdict == "CONSISTENT"
 
 
 def test_chain_on_all_sixteen_strategies():
