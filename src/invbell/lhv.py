@@ -18,35 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSupport
-from .protocol import SIGNS, Distribution
+from .protocol import SIGNS, Distribution, supported
+from .qcore import ATOL
 from .stats import CLASSICAL_BOUND
 
 DEFAULT_TOL = 1e-9
 
 # Fixed ordering of (+-1, +-1) pairs for table rows (inputs) and columns (outputs).
-PAIR_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-_PAIR_INDEX = {pair: i for i, pair in enumerate(PAIR_ORDER)}
+PAIR_ORDER: tuple[tuple[int, int], ...] = tuple(itertools.product(SIGNS, repeat=2))
 
 # Output-pair products q3*q4 in PAIR_ORDER, used for correlators.
 _PAIR_PRODUCT = np.array([a * b for a, b in PAIR_ORDER], dtype=np.float64)
 
 
 def pair_index(a: int, b: int) -> int:
-    return _PAIR_INDEX[(a, b)]
+    return PAIR_ORDER.index((a, b))
 
 
-def _chsh_sign_patterns() -> tuple[tuple[int, int, int, int], ...]:
-    patterns = []
-    for k in range(4):
-        base = [1, 1, 1, 1]
-        base[k] = -1
-        patterns.append(tuple(base))
-        patterns.append(tuple(-s for s in base))
-    return tuple(patterns)
-
-
-CHSH_SIGN_PATTERNS = _chsh_sign_patterns()
+# The eight CHSH combinations: one minus sign at position k, then the negation.
+CHSH_SIGN_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(
+    tuple(sign * (-1 if i == k else 1) for i in range(4)) for k in range(4) for sign in SIGNS
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +56,7 @@ class ConditionalTable:
         if table.min() < 0.0:
             raise ValueError(f"conditional table entry {table.min()!r} is negative")
         row_sums = table.sum(axis=1)
-        if np.abs(row_sums - 1.0).max() > 1e-12:
+        if np.abs(row_sums - 1.0).max() > ATOL:
             raise ValueError(f"conditional rows must sum to 1, got {row_sums.tolist()}")
         table.setflags(write=False)
         object.__setattr__(self, "entries", table)
@@ -109,7 +101,7 @@ class DeterministicStrategy:
 
     def __post_init__(self):
         for name, pair in (("f", self.f), ("g", self.g)):
-            if tuple(pair) not in set(itertools.product(SIGNS, repeat=2)):
+            if tuple(pair) not in PAIR_ORDER:
                 raise ValueError(f"{name} must map into {{+1, -1}}, got {pair!r}")
 
     def f_of(self, q1: int) -> int:
@@ -148,7 +140,7 @@ def conditional_table(d: Distribution) -> ConditionalTable:
     table = np.empty((4, 4), dtype=np.float64)
     for i, (q1, q2) in enumerate(PAIR_ORDER):
         pair_prob = math.fsum(joint[i].tolist())
-        if pair_prob <= 0.0:
+        if not supported(pair_prob):
             raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
         table[i] = joint[i] / pair_prob
     return ConditionalTable(table)
@@ -190,8 +182,8 @@ def strategy_chsh(s: DeterministicStrategy) -> float:
 def enumerate_strategies() -> list[tuple[DeterministicStrategy, float]]:
     """All 16 deterministic strategies with their CHSH values."""
     strategies = []
-    for f in itertools.product(SIGNS, repeat=2):
-        for g in itertools.product(SIGNS, repeat=2):
+    for f in PAIR_ORDER:
+        for g in PAIR_ORDER:
             s = DeterministicStrategy(f=f, g=g)
             strategies.append((s, strategy_chsh(s)))
     return strategies

@@ -25,6 +25,7 @@ bit first.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .qcore import (
+    ATOL,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
@@ -43,8 +45,6 @@ from .qcore import (
     hadamard,
     measurement_probs,
 )
-
-PROB_ATOL = 1e-12
 
 CHOICE_MODES = ("coherent", "coin")
 
@@ -73,17 +73,28 @@ class OutcomeQuadruple(NamedTuple):
     q4: int
 
 
+# The one statement of the sign order: +1 is bit 0 (|0>) and comes first.  OUTCOMES
+# is then in basis-index order, Q1 most significant.
+SIGNS = (1, -1)
+OUTCOMES: tuple[OutcomeQuadruple, ...] = tuple(map(OutcomeQuadruple._make, itertools.product(SIGNS, repeat=4)))
+
+
+def supported(p: float) -> bool:
+    """The support rule of every analysis: an event of probability `p` can happen iff p > 0.0 exactly."""
+    return p > 0.0
+
+
 def outcome_from_index(index: int) -> OutcomeQuadruple:
-    """Quadruple for basis-state `index` (Q1 is the most significant bit)."""
-    return OutcomeQuadruple(*(1 - 2 * ((index >> shift) & 1) for shift in (3, 2, 1, 0)))
+    """Quadruple for basis-state `index` in 0..15 (Q1 is the most significant bit)."""
+    if not 0 <= index < 16:
+        raise ValueError(f"basis index {index!r} is not in 0..15")
+    return OUTCOMES[index]
 
 
 def index_of_outcome(outcome: OutcomeQuadruple) -> int:
-    return sum(((1 - v) // 2) << shift for v, shift in zip(outcome, (3, 2, 1, 0)))
-
-
-OUTCOMES: tuple[OutcomeQuadruple, ...] = tuple(outcome_from_index(i) for i in range(16))
-SIGNS = (1, -1)
+    if tuple(outcome) not in OUTCOMES:
+        raise ValueError(f"outcome {tuple(outcome)} is not four values from {{+1, -1}}")
+    return OUTCOMES.index(tuple(outcome))
 
 
 @dataclass(frozen=True)
@@ -103,14 +114,14 @@ class Distribution:
             # that outcome; any other key takes the field-by-field route.
             if key not in table:
                 key = OutcomeQuadruple(*key)
-                if any(v not in (-1, 1) for v in key):
+                if any(v not in SIGNS for v in key):
                     raise ValueError(f"outcome {key} has values outside {{+1, -1}}")
             value = float(value)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"probability of {OutcomeQuadruple(*key)} is {value!r}")
             table[key] = value
         total = math.fsum(table.values())
-        if abs(total - 1.0) > PROB_ATOL:
+        if abs(total - 1.0) > ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", table)
 

@@ -23,13 +23,11 @@ import numpy as np
 from .errors import BadWeights, DimensionMismatch, EmptyKeep, IndexClash
 
 MAX_QUBITS = 4
-NORM_ATOL = 1e-12
-HERM_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-UNITARY_ATOL = 1e-12
-# Eigenvalue slack absorbs roundoff in 16x16 Hermitian eigensolves.
-EIG_FLOOR = -1e-10
-DIAG_NEG_TOL = 1e-10
+# Roundoff tolerance on norms, traces, Hermiticity, unitarity and probability sums.
+ATOL = 1e-12
+# Negativity slack: an eigenvalue or diagonal entry below -NEG_TOL is an error;
+# it absorbs roundoff in 16x16 Hermitian eigensolves.
+NEG_TOL = 1e-10
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -51,20 +49,22 @@ def _qubit_count(dim: int, name: str) -> int:
 
 
 def _check_norm(amps: np.ndarray) -> None:
-    """A state vector must have unit norm within NORM_ATOL."""
+    """A state vector must have unit norm within ATOL."""
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_ATOL}")
+    if abs(norm - 1.0) > ATOL:
+        raise ValueError(f"state vector norm {norm!r} is not 1 within {ATOL}")
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    """Mixture weights must be present, nonnegative, and sum to one."""
+    """Mixture weights must be present, finite, nonnegative, and sum to one."""
     if not weights:
         raise BadWeights("mixture needs at least one component")
     weights = np.array(weights, dtype=np.float64)
+    if not np.all(np.isfinite(weights)):
+        raise BadWeights(f"non-finite mixture weight in {weights.tolist()}")
     if np.any(weights < 0):
         raise BadWeights(f"negative mixture weight {weights.min()!r}")
-    if abs(weights.sum() - 1.0) > TRACE_ATOL:
+    if abs(weights.sum() - 1.0) > ATOL:
         raise BadWeights(f"mixture weights sum to {weights.sum()!r}, not 1")
 
 
@@ -119,7 +119,7 @@ class UnitaryMatrix:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0], "unitary")
         defect = np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()
-        if defect > UNITARY_ATOL:
+        if defect > ATOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -141,13 +141,13 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0], "density matrix")
         herm_defect = np.abs(mat - mat.conj().T).max()
-        if herm_defect > HERM_ATOL:
+        if herm_defect > ATOL:
             raise ValueError(f"density matrix is not Hermitian (defect {herm_defect:.3e})")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {trace!r} is not 1 within {TRACE_ATOL}")
+        if abs(trace - 1.0) > ATOL:
+            raise ValueError(f"density matrix trace {trace!r} is not 1 within {ATOL}")
         min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < EIG_FLOOR:
+        if min_eig < -NEG_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -279,10 +279,10 @@ def dephase(rho: DensityMatrix, qubits: Iterable[int]) -> DensityMatrix:
 def measurement_probs(rho: DensityMatrix) -> np.ndarray:
     """Computational-basis outcome probabilities (the diagonal, made real)."""
     diag = np.real(np.diagonal(rho.matrix)).copy()
-    if diag.min() < -DIAG_NEG_TOL:
+    if diag.min() < -NEG_TOL:
         raise ValueError(f"diagonal entry {diag.min():.3e} below tolerance")
     np.clip(diag, 0.0, None, out=diag)
     total = float(diag.sum())
-    if abs(total - 1.0) > TRACE_ATOL:
+    if abs(total - 1.0) > ATOL:
         raise ValueError(f"diagonal sums to {total!r}, not 1")
     return diag

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lhv import PAIR_ORDER, conditional_table, enumerate_strategies
-from .protocol import SIGNS, Distribution
+from .protocol import SIGNS, Distribution, supported
 from .stats import VARIABLES, EventPredicate, conditional, prob
 
 DEFAULT_EPSILON = 1e-9
@@ -111,9 +111,9 @@ def certainty_predictions(d: Distribution, epsilon: float = DEFAULT_EPSILON) -> 
     predictions = []
     for variable in VARIABLES:
         others = [v for v in VARIABLES if v != variable]
-        for assignment in itertools.product((None, 1, -1), repeat=3):
+        for assignment in itertools.product((None, *SIGNS), repeat=3):
             given = EventPredicate({v: a for v, a in zip(others, assignment) if a is not None})
-            if prob(d, given) <= 0.0:
+            if not supported(prob(d, given)):
                 continue
             for value in SIGNS:
                 confidence = conditional(d, {variable: value}, given)
@@ -134,7 +134,7 @@ def hardy_chain_check(d: Distribution, epsilon: float = DEFAULT_EPSILON) -> Hard
     values: list[float] = []
     established: list[bool] = []
     for target, given in HARDY_FACTS:
-        if prob(d, given) > 0.0:
+        if supported(prob(d, given)):
             values.append(conditional(d, target, given))
             established.append(True)
         else:
@@ -172,5 +172,5 @@ def response_model_refutation(d: Distribution) -> list[tuple[ResponseFunction, R
     return [
         (ResponseFunction("q3", "q1", *s.f), ResponseFunction("q4", "q2", *s.g))
         for s, _ in enumerate_strategies()
-        if all(table.entry(q1, q2, s.f_of(q1), s.g_of(q2)) > 0.0 for q1, q2 in PAIR_ORDER)
+        if all(supported(table.entry(q1, q2, s.f_of(q1), s.g_of(q2))) for q1, q2 in PAIR_ORDER)
     ]

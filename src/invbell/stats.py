@@ -10,13 +10,14 @@ every platform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroConditioning
-from .protocol import OUTCOMES, Distribution, OutcomeQuadruple
+from .protocol import OUTCOMES, SIGNS, Distribution, OutcomeQuadruple, supported
 
 VARIABLES = ("q1", "q2", "q3", "q4")
 
@@ -34,10 +35,10 @@ class EventPredicate:
         clean: dict[str, int] = {}
         for var in VARIABLES:
             if var in self.constraints:
-                value = int(self.constraints[var])
-                if value not in (-1, 1):
-                    raise ValueError(f"constraint {var}={self.constraints[var]!r} is not +1 or -1")
-                clean[var] = value
+                value = self.constraints[var]
+                if value not in SIGNS:
+                    raise ValueError(f"constraint {var}={value!r} is not +1 or -1")
+                clean[var] = int(value)
         unknown = set(self.constraints) - set(VARIABLES)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
@@ -73,7 +74,7 @@ def conditional(d: Distribution, target: Eventish, given: Eventish) -> float:
     """P(target | given); raises ZeroConditioning when P(given) = 0."""
     given = as_predicate(given)
     denominator = prob(d, given)
-    if denominator <= 0.0:
+    if not supported(denominator):
         raise ZeroConditioning(f"conditioning event {given.constraints} has probability zero")
     joint = as_predicate(target).conjunction(given)
     numerator = prob(d, joint) if joint is not None else 0.0
@@ -187,13 +188,15 @@ def sample(d: Distribution, n: int, seed: int, chunk_size: int = 1 << 16) -> Sam
     """Draw `n` outcomes by inverse CDF over the fixed outcome ordering.
 
     Identical (d, n, seed) give identical counts on every platform, for any
-    chunk_size; chunking only bounds peak memory.
+    chunk_size; chunking only bounds peak memory.  A non-integer `n`, `seed` or
+    `chunk_size` raises TypeError, as `range()` does.
     """
+    n, seed, chunk_size = operator.index(n), operator.index(seed), operator.index(chunk_size)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    seed = int(seed) & _U64_MASK
+    seed &= _U64_MASK
     probs = d.as_array()
     cdf = np.cumsum(probs)
     counts = np.zeros(16, dtype=np.int64)

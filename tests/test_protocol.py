@@ -82,6 +82,23 @@ def test_outcome_index_round_trip():
         assert index_of_outcome(outcome_from_index(i)) == i
 
 
+@pytest.mark.parametrize("index", [16, -1, 100])
+def test_outcome_from_index_rejects_out_of_range(index):
+    with pytest.raises(ValueError):
+        outcome_from_index(index)
+
+
+@pytest.mark.parametrize("outcome", [(1, 1, 1, 0), (3, 1, 1, 1), (1, 1, 1), (1, 1, 1, 1, 1)])
+def test_index_of_outcome_rejects_non_signs(outcome):
+    with pytest.raises(ValueError):
+        index_of_outcome(outcome)
+
+
+def test_supported_is_exact_positivity():
+    assert protocol.supported(1.0) and protocol.supported(5e-324)
+    assert not protocol.supported(0.0) and not protocol.supported(-0.0) and not protocol.supported(-1e-300)
+
+
 def test_outcome_encoding_convention():
     assert OUTCOMES[0] == OutcomeQuadruple(1, 1, 1, 1)
     assert OUTCOMES[15] == OutcomeQuadruple(-1, -1, -1, -1)

@@ -8,6 +8,7 @@ from invbell.errors import BadWeights, DimensionMismatch, EmptyKeep, IndexClash
 from invbell.qcore import (
     DensityMatrix,
     _apply_kernel,
+    _check_weights,
     StateVector,
     UnitaryMatrix,
     apply_unitary,
@@ -255,6 +256,20 @@ def test_mix_rejects_bad_weights():
         mix([(0.7, rho), (0.7, rho)])
     with pytest.raises(BadWeights):
         mix([(-0.5, rho), (1.5, rho)])
+
+
+@pytest.mark.parametrize(
+    "weights", [[float("nan")], [0.5, float("nan")], [float("nan"), 1.0], [float("inf"), -float("inf")]]
+)
+def test_check_weights_rejects_non_finite(weights):
+    with pytest.raises(BadWeights, match="non-finite"):
+        _check_weights(weights)
+
+
+def test_mix_rejects_nan_weight():
+    rho = density_from_state(basis_state(1, 0))
+    with pytest.raises(BadWeights, match="non-finite"):
+        mix([(0.5, rho), (float("nan"), rho)])
 
 
 def test_mix_rejects_unequal_dims():

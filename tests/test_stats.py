@@ -57,6 +57,20 @@ def test_predicate_rejects_bad_value():
         EventPredicate({"q1": 0})
 
 
+@pytest.mark.parametrize("value", [1.5, -1.7, "1", 0.999, float("nan"), None])
+def test_predicate_rejects_values_not_equal_to_a_sign(value):
+    with pytest.raises(ValueError):
+        EventPredicate({"q1": value})
+    with pytest.raises(ValueError):
+        prob(Distribution.uniform(), {"q1": value})
+
+
+def test_predicate_stores_signs_as_int():
+    pred = EventPredicate({"q1": 1.0, "q2": np.int64(-1), "q3": np.float64(-1.0)})
+    assert pred.constraints == {"q1": 1, "q2": -1, "q3": -1}
+    assert all(type(v) is int for v in pred.constraints.values())
+
+
 def test_predicate_conjunction_conflict_is_none():
     a = EventPredicate({"q1": 1})
     b = EventPredicate({"q1": -1})
@@ -216,6 +230,22 @@ def test_sample_point_mass():
 def test_sample_rejects_bad_n(default_distribution):
     with pytest.raises(ValueError):
         sample(default_distribution, 0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2.5, 1), (100, 1.7), (100, "5"), (100, 1, 7.0), (100, np.float64(3.0))],
+)
+def test_sample_rejects_non_integer_arguments(args):
+    with pytest.raises(TypeError):
+        sample(Distribution.uniform(), *args)
+
+
+def test_sample_accepts_numpy_integers(default_distribution):
+    a = sample(default_distribution, np.int64(300), np.uint64(9), chunk_size=np.int32(7))
+    b = sample(default_distribution, 300, 9)
+    assert a.counts == b.counts
+    assert (a.n, a.seed) == (300, 9) and type(a.n) is int and type(a.seed) is int
 
 
 def test_sample_determinism(default_distribution):
