@@ -45,8 +45,7 @@ def main():
     predictions = certainty_predictions(d, epsilon)
     print(f"\ncertainty predictions ({len(predictions)}):")
     for p in predictions[:8]:
-        given = ",".join(f"{k}={v:+d}" for k, v in p.given.constraints.items())
-        print(f"  [{given}] => {p.predicted_variable}={p.predicted_value:+d} (confidence {p.confidence:.6f})")
+        print(f"  [{p.given.label}] => {p.predicted_variable}={p.predicted_value:+d} (confidence {p.confidence:.6f})")
     if len(predictions) > 8:
         print(f"  ... and {len(predictions) - 8} more")
 

@@ -19,6 +19,7 @@ from .lhv import (
     ConditionalTable,
     DeterministicStrategy,
     PolytopeReport,
+    ResponseFunction,
     SignalingReport,
     conditional_table,
     enumerate_strategies,
@@ -54,7 +55,6 @@ from .qcore import (
 from .reality import (
     CertaintyPrediction,
     HardyReport,
-    ResponseFunction,
     certainty_predictions,
     hardy_chain_check,
     response_model_refutation,

@@ -30,7 +30,7 @@ from .lhv import DEFAULT_TOL, check_tol
 from .protocol import OUTCOMES, Scenario, bell_state, build_final_density, outcome_distribution
 from .protocol import check_choice_prob, check_mode
 from .reality import DEFAULT_EPSILON, HARDY_FACTS, check_epsilon, hardy_chain_check
-from .stats import ChshSettings, CLASSICAL_BOUND, TSIRELSON_BOUND, correlator, sample
+from .stats import ChshSettings, CLASSICAL_BOUND, TSIRELSON_BOUND, EventPredicate, chsh_combination, correlator, sample
 
 DEFAULT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 4.0, math.pi / 4.0)
 
@@ -249,7 +249,7 @@ def _view_rho(results: dict, table: bool) -> list:
 
 
 # (target, given) labels of HARDY_FACTS, such as ("q3=+1,q4=+1", "q1=+1,q2=+1").
-_FACT_LABELS = [tuple(",".join(f"{k}={v:+d}" for k, v in event.items()) for event in fact) for fact in HARDY_FACTS]
+_FACT_LABELS = [tuple(EventPredicate(event).label for event in fact) for fact in HARDY_FACTS]
 
 
 def _run_hardy(cfg: RunConfig) -> dict:
@@ -309,11 +309,10 @@ def _run_chsh(cfg: RunConfig) -> dict:
     state = bell_state()
     # `correlator` is looked up in this module on each call, so it can be patched here.
     correlators = {f"e_{a}_{b}": correlator(state, angles[a], angles[b]) for a in ("a0", "a1") for b in ("b0", "b1")}
-    e00, e01, e10, e11 = correlators.values()
     return {
         "angles": angles,
         "correlators": correlators,
-        "chsh": e00 + e01 + e10 - e11,
+        "chsh": chsh_combination(*correlators.values()),
         "classical_bound": CLASSICAL_BOUND,
         "quantum_maximum": TSIRELSON_BOUND,
     }

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSupport
-from .protocol import SIGNS, Distribution, supported
+from .protocol import SIGNS, Distribution, as_real, supported
 from .qcore import ATOL
-from .stats import CLASSICAL_BOUND
+from .stats import CLASSICAL_BOUND, chsh_combination
 
 DEFAULT_TOL = 1e-9
 
@@ -93,22 +93,46 @@ class SignalingReport:
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """Local deterministic responses: q3 = f(q1), q4 = g(q2)."""
+class ResponseFunction:
+    """A choice register written as a two-point function of one outcome."""
 
-    f: tuple[int, int]
-    g: tuple[int, int]
+    variable: str
+    conditioner: str
+    at_plus: int
+    at_minus: int
 
     def __post_init__(self):
-        for name, pair in (("f", self.f), ("g", self.g)):
-            if tuple(pair) not in PAIR_ORDER:
-                raise ValueError(f"{name} must map into {{+1, -1}}, got {pair!r}")
+        if self.variable not in ("q3", "q4"):
+            raise ValueError(f"variable must be q3 or q4, got {self.variable!r}")
+        if self.conditioner not in ("q1", "q2"):
+            raise ValueError(f"conditioner must be q1 or q2, got {self.conditioner!r}")
+        if self.at_plus not in SIGNS or self.at_minus not in SIGNS:
+            raise ValueError("response values must be +1 or -1")
+        object.__setattr__(self, "at_plus", int(self.at_plus))
+        object.__setattr__(self, "at_minus", int(self.at_minus))
+
+    def __call__(self, value: int) -> int:
+        if value not in SIGNS:
+            raise ValueError(f"{self.conditioner} must be +1 or -1, got {value!r}")
+        return self.at_plus if value == 1 else self.at_minus
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Local deterministic responses q3 = f(q1), q4 = g(q2), given as (value at +1, value at -1) pairs."""
+
+    f: ResponseFunction
+    g: ResponseFunction
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", ResponseFunction("q3", "q1", *self.f))
+        object.__setattr__(self, "g", ResponseFunction("q4", "q2", *self.g))
 
     def f_of(self, q1: int) -> int:
-        return self.f[0] if q1 == 1 else self.f[1]
+        return self.f(q1)
 
     def g_of(self, q2: int) -> int:
-        return self.g[0] if q2 == 1 else self.g[1]
+        return self.g(q2)
 
 
 @dataclass(frozen=True)
@@ -148,7 +172,7 @@ def conditional_table(d: Distribution) -> ConditionalTable:
 
 def check_tol(tol: float) -> float:
     """`tol` as a float; a tolerance must be finite and nonnegative."""
-    value = float(tol)
+    value = as_real(tol, "tol")
     if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     return value
@@ -172,21 +196,17 @@ def no_signaling_check(t: ConditionalTable, tol: float = DEFAULT_TOL) -> Signali
 
 
 def strategy_chsh(s: DeterministicStrategy) -> float:
-    """E(+,+) + E(+,-) + E(-,+) - E(-,-) with E(q1, q2) = f(q1) g(q2)."""
-    correlator = {(q1, q2): s.f_of(q1) * s.g_of(q2) for q1 in SIGNS for q2 in SIGNS}
-    return float(
-        correlator[(1, 1)] + correlator[(1, -1)] + correlator[(-1, 1)] - correlator[(-1, -1)]
-    )
+    """The CHSH combination of E(q1, q2) = f(q1) g(q2), input pairs in PAIR_ORDER."""
+    return float(chsh_combination(*(s.f_of(q1) * s.g_of(q2) for q1, q2 in PAIR_ORDER)))
+
+
+# The 16 deterministic strategies, f major, with their CHSH values; built and validated once.
+_STRATEGIES = tuple((s, strategy_chsh(s)) for s in (DeterministicStrategy(f, g) for f in PAIR_ORDER for g in PAIR_ORDER))
 
 
 def enumerate_strategies() -> list[tuple[DeterministicStrategy, float]]:
-    """All 16 deterministic strategies with their CHSH values."""
-    strategies = []
-    for f in PAIR_ORDER:
-        for g in PAIR_ORDER:
-            s = DeterministicStrategy(f=f, g=g)
-            strategies.append((s, strategy_chsh(s)))
-    return strategies
+    """All 16 deterministic strategies with their CHSH values; a new list on each call."""
+    return list(_STRATEGIES)
 
 
 def strategy_table(s: DeterministicStrategy) -> ConditionalTable:

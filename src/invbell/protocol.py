@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -56,9 +57,16 @@ def check_mode(mode: str, name: str) -> str:
     return mode
 
 
+def as_real(value, name: str) -> float:
+    """`value` as a float; text and other non-numbers raise TypeError, so nothing is parsed."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
 def check_choice_prob(choice_prob: float, name: str) -> float:
     """`choice_prob` as a float in [0, 1]; `name` is what the error message calls it."""
-    p = float(choice_prob)
+    p = as_real(choice_prob, name)
     if not math.isfinite(p) or not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {choice_prob!r}")
     return p

@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lhv import PAIR_ORDER, conditional_table, enumerate_strategies
-from .protocol import SIGNS, Distribution, supported
+from .lhv import PAIR_ORDER, ResponseFunction, conditional_table, enumerate_strategies
+from .protocol import SIGNS, Distribution, as_real, supported
 from .stats import VARIABLES, EventPredicate, conditional, prob
 
 DEFAULT_EPSILON = 1e-9
@@ -43,31 +43,10 @@ HARDY_FACTS: tuple[tuple[dict[str, int], dict[str, int]], ...] = (
 
 def check_epsilon(epsilon: float) -> float:
     """`epsilon` as a float; the certainty tolerance must lie in [0, 0.5)."""
-    epsilon = float(epsilon)
+    epsilon = as_real(epsilon, "epsilon")
     if not 0.0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon!r}")
     return epsilon
-
-
-@dataclass(frozen=True)
-class ResponseFunction:
-    """A choice register written as a two-point function of one outcome."""
-
-    variable: str
-    conditioner: str
-    at_plus: int
-    at_minus: int
-
-    def __post_init__(self):
-        if self.variable not in ("q3", "q4"):
-            raise ValueError(f"variable must be q3 or q4, got {self.variable!r}")
-        if self.conditioner not in ("q1", "q2"):
-            raise ValueError(f"conditioner must be q1 or q2, got {self.conditioner!r}")
-        if self.at_plus not in SIGNS or self.at_minus not in SIGNS:
-            raise ValueError("response values must be +1 or -1")
-
-    def __call__(self, value: int) -> int:
-        return self.at_plus if value == 1 else self.at_minus
 
 
 @dataclass(frozen=True)
@@ -164,13 +143,12 @@ def response_model_refutation(d: Distribution) -> list[tuple[ResponseFunction, R
     A pair is refuted when some (q1, q2) combination with positive
     probability never produces the pair's predicted register values.  This
     is weaker than the certainty chain: surviving pairs only show that
-    support alone cannot rule the model out.  The pairs are the strategies
-    of lhv.enumerate_strategies, in its order; lhv.conditional_table raises
-    MissingSupport when a (q1, q2) pair has probability zero.
+    support alone cannot rule the model out.  The pairs are the (f, g)
+    halves of lhv.enumerate_strategies, in its order; lhv.conditional_table
+    raises MissingSupport when a (q1, q2) pair has probability zero.
     """
     table = conditional_table(d)
     return [
-        (ResponseFunction("q3", "q1", *s.f), ResponseFunction("q4", "q2", *s.g))
-        for s, _ in enumerate_strategies()
+        (s.f, s.g) for s, _ in enumerate_strategies()
         if all(supported(table.entry(q1, q2, s.f_of(q1), s.g_of(q2))) for q1, q2 in PAIR_ORDER)
     ]

@@ -17,9 +17,9 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroConditioning
-from .protocol import OUTCOMES, SIGNS, Distribution, OutcomeQuadruple, supported
+from .protocol import OUTCOMES, SIGNS, Distribution, OutcomeQuadruple, as_real, supported
 
-VARIABLES = ("q1", "q2", "q3", "q4")
+VARIABLES = OutcomeQuadruple._fields
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -43,6 +43,11 @@ class EventPredicate:
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
         object.__setattr__(self, "constraints", clean)
+
+    @property
+    def label(self) -> str:
+        """The constraints as text such as "q1=+1,q2=-1", in q1..q4 order."""
+        return ",".join(f"{k}={v:+d}" for k, v in self.constraints.items())
 
     def matches(self, outcome: OutcomeQuadruple) -> bool:
         return all(getattr(outcome, var) == value for var, value in self.constraints.items())
@@ -108,7 +113,7 @@ class ChshSettings:
 
     def __post_init__(self):
         for name in ("a0", "a1", "b0", "b1"):
-            value = float(getattr(self, name))
+            value = as_real(getattr(self, name), f"angle {name}")
             if not math.isfinite(value):
                 raise ValueError(f"angle {name}={getattr(self, name)!r} is not finite")
             object.__setattr__(self, name, value)
@@ -132,14 +137,14 @@ def correlator(state, angle_a: float, angle_b: float) -> float:
     return float(np.real(amps.conj() @ op @ amps))
 
 
+def chsh_combination(e00, e01, e10, e11):
+    """The CHSH combination of four correlators, the last one subtracted."""
+    return e00 + e01 + e10 - e11
+
+
 def chsh_value(state, s: ChshSettings) -> float:
     """E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1) from exact expectations."""
-    return (
-        correlator(state, s.a0, s.b0)
-        + correlator(state, s.a0, s.b1)
-        + correlator(state, s.a1, s.b0)
-        - correlator(state, s.a1, s.b1)
-    )
+    return chsh_combination(*(correlator(state, a, b) for a in (s.a0, s.a1) for b in (s.b0, s.b1)))
 
 
 # splitmix64 constants (Steele, Lea, and Flood's mixer)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EXPECTED_CONDITIONAL_ROWS, SIGNS
+from helpers import EXPECTED_CONDITIONAL_ROWS, SIGNS, strategy_distribution
 from invbell.errors import MissingSupport
 from invbell.lhv import (
     CHSH_SIGN_PATTERNS,
     PAIR_ORDER,
     ConditionalTable,
     DeterministicStrategy,
+    ResponseFunction,
     conditional_table,
     enumerate_strategies,
     local_polytope_check,
@@ -189,6 +190,38 @@ def test_strategy_validation():
         DeterministicStrategy(f=(0, 1), g=(1, 1))
 
 
+@pytest.mark.parametrize("response, value", [("f", 0), ("f", 7), ("g", 0), ("g", 1.5)])
+def test_strategy_responses_reject_inputs_other_than_signs(response, value):
+    s = DeterministicStrategy(f=(1, -1), g=(1, 1))
+    with pytest.raises(ValueError):
+        getattr(s, f"{response}_of")(value)
+
+
+def test_strategy_halves_are_response_functions_with_int_values():
+    s = DeterministicStrategy(f=(1.0, -1), g=(1, 1))
+    assert s.f == ResponseFunction("q3", "q1", 1, -1)
+    assert s.g == ResponseFunction("q4", "q2", 1, 1)
+    assert type(s.f.at_plus) is int and s.f.at_plus == 1
+
+
+@pytest.mark.parametrize("fp, fm, gp, gm", list(itertools.product(SIGNS, repeat=4)))
+def test_strategy_table_and_chsh_match_the_strategy_distribution(fp, fm, gp, gm):
+    s = DeterministicStrategy((fp, fm), (gp, gm))
+    expected = conditional_table(strategy_distribution(fp, fm, gp, gm))
+    np.testing.assert_array_equal(strategy_table(s).entries, expected.entries)
+    e = {(q1, q2): (fp if q1 == 1 else fm) * (gp if q2 == 1 else gm) for q1 in SIGNS for q2 in SIGNS}
+    assert strategy_chsh(s) == e[1, 1] + e[1, -1] + e[-1, 1] - e[-1, -1]
+
+
+def test_changing_a_returned_strategy_list_leaves_the_next_one_alone():
+    expected = enumerate_strategies()
+    changed = enumerate_strategies()
+    changed.reverse()
+    del changed[3:]
+    assert enumerate_strategies() == expected
+    assert len(expected) == 16
+
+
 # ------------------------------------------------------- local_polytope_check
 
 
@@ -225,11 +258,18 @@ def test_pr_box_is_nonlocal_nosignaling():
     assert report.witness_signs is not None
 
 
-@pytest.mark.parametrize("tol", ["0.1", 0])
+@pytest.mark.parametrize("tol", [0.1, 0])
 def test_polytope_check_takes_every_tol_the_signaling_check_takes(tol):
     report = local_polytope_check(pr_box_table(), tol)
     assert report.verdict == "nonlocal-nosignaling"
     assert report.signaling.tol == float(tol)
+
+
+@pytest.mark.parametrize("check", [no_signaling_check, local_polytope_check])
+def test_both_checks_reject_a_tol_given_as_text(check):
+    with pytest.raises(TypeError) as exc:
+        check(pr_box_table(), "0.1")
+    assert str(exc.value) == "tol must be a real number, got str"
 
 
 def test_eight_sign_patterns_are_distinct():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from helpers import EXPECTED_DEFAULT_DIAGONAL
 from invbell import protocol
 from invbell.errors import BadWeights
+from invbell.lhv import check_tol
 from invbell.protocol import (
     OUTCOMES,
     Distribution,
     OutcomeQuadruple,
     Scenario,
+    as_real,
     bell_state,
     build_final_density,
     index_of_outcome,
@@ -29,6 +32,8 @@ from invbell.qcore import (
     kron,
     mix,
 )
+from invbell.reality import check_epsilon
+from invbell.stats import ChshSettings
 
 probs_01 = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -196,6 +201,43 @@ def test_scenario_error_messages(kwargs, message):
     with pytest.raises(ValueError) as exc:
         Scenario(**kwargs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [0.25, 1, True, np.float32(0.25), np.float64(0.25), np.int64(1), Fraction(1, 4)])
+def test_as_real_takes_every_real_number(value):
+    assert type(as_real(value, "x")) is float
+    assert as_real(value, "x") == float(value)
+
+
+@pytest.mark.parametrize("value", ["0.3", b"0.3", None, 1j, [0.3]], ids=["str", "bytes", "None", "complex", "list"])
+def test_as_real_rejects_everything_else(value):
+    with pytest.raises(TypeError) as exc:
+        as_real(value, "choice_prob")
+    assert str(exc.value) == f"choice_prob must be a real number, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: Scenario(choice_prob="0.3"),
+        lambda: check_epsilon("0.1"),
+        lambda: check_tol("1e-3"),
+        lambda: ChshSettings("0", "1", "2", "3"),
+    ],
+    ids=["choice_prob", "epsilon", "tol", "angles"],
+)
+def test_scalar_checks_reject_text(check):
+    with pytest.raises(TypeError):
+        check()
+
+
+def test_scalar_checks_take_numbers_of_any_real_type():
+    assert Scenario(choice_prob=Fraction(3, 10)).choice_prob == 0.3
+    assert check_epsilon(np.float32(0.25)) == 0.25
+    assert check_tol(True) == 1.0
+    assert vars(ChshSettings(0, np.int64(1), Fraction(1, 2), np.float64(0.25))) == {
+        "a0": 0.0, "a1": 1.0, "b0": 0.5, "b1": 0.25
+    }
 
 
 # ----------------------------------------------------------- build_final_density

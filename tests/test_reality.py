@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import SIGNS, all_strategy_distributions, random_distribution, strategy_distribution
 from invbell.errors import MissingSupport
-from invbell.lhv import conditional_table
+from invbell.lhv import conditional_table, enumerate_strategies
 from invbell.protocol import Distribution, OutcomeQuadruple
 from invbell.reality import (
     CertaintyPrediction,
@@ -180,6 +180,14 @@ def test_refutation_uniform_keeps_everything():
     assert len(response_model_refutation(Distribution.uniform())) == 16
 
 
+def test_refutation_returns_the_strategies_own_halves():
+    survivors = response_model_refutation(Distribution.uniform())
+    strategies = [s for s, _ in enumerate_strategies()]
+    assert len(survivors) == len(strategies)
+    for (f, g), s in zip(survivors, strategies):
+        assert f is s.f and g is s.g
+
+
 # Cells that are not exact zeros but sit far below any real probability: the
 # smallest subnormal, a tiny normal, and the size of build_final_density's roundoff.
 TINY_CELLS = (0.0, 5e-324, 1e-300, 7e-34)
@@ -256,6 +264,14 @@ def test_refutation_of_an_unsupported_row_raises_the_table_message(d):
 def test_response_function_call():
     f = ResponseFunction("q3", "q1", at_plus=1, at_minus=-1)
     assert f(1) == 1 and f(-1) == -1
+
+
+@pytest.mark.parametrize("value", [5, 0, -2, 1.5, None])
+def test_response_function_rejects_inputs_other_than_signs(value):
+    f = ResponseFunction("q3", "q1", 1, -1)
+    with pytest.raises(ValueError) as exc:
+        f(value)
+    assert str(exc.value) == f"q1 must be +1 or -1, got {value!r}"
 
 
 def test_response_function_validation():

@@ -71,6 +71,11 @@ def test_predicate_stores_signs_as_int():
     assert all(type(v) is int for v in pred.constraints.values())
 
 
+def test_predicate_label_lists_constraints_in_variable_order():
+    assert EventPredicate({"q4": -1, "q1": 1.0, "q3": 1}).label == "q1=+1,q3=+1,q4=-1"
+    assert EventPredicate({}).label == ""
+
+
 def test_predicate_conjunction_conflict_is_none():
     a = EventPredicate({"q1": 1})
     b = EventPredicate({"q1": -1})
