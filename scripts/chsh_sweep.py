@@ -22,6 +22,8 @@ def main():
     parser.add_argument("--draws", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    if args.draws < 1:
+        parser.error(f"--draws must be >= 1, got {args.draws}")
 
     rng = np.random.default_rng(args.seed)
     pair = bell_state()

@@ -64,15 +64,6 @@ class ConditionalTable:
     def entry(self, q1: int, q2: int, q3: int, q4: int) -> float:
         return float(self.entries[pair_index(q1, q2), pair_index(q3, q4)])
 
-    def output_marginal(self, variable: str, q1: int, q2: int) -> float:
-        """P(variable = +1 | q1, q2) for variable q3 or q4."""
-        row = self.entries[pair_index(q1, q2)]
-        if variable == "q3":
-            return float(row[pair_index(1, 1)] + row[pair_index(1, -1)])
-        if variable == "q4":
-            return float(row[pair_index(1, 1)] + row[pair_index(-1, 1)])
-        raise ValueError(f"variable must be q3 or q4, got {variable!r}")
-
     def correlators(self) -> np.ndarray:
         """E(q1, q2) = sum over outputs of q3*q4*P, one per input pair in PAIR_ORDER."""
         return self.entries @ _PAIR_PRODUCT
@@ -128,12 +119,6 @@ class DeterministicStrategy:
         object.__setattr__(self, "f", ResponseFunction("q3", "q1", *self.f))
         object.__setattr__(self, "g", ResponseFunction("q4", "q2", *self.g))
 
-    def f_of(self, q1: int) -> int:
-        return self.f(q1)
-
-    def g_of(self, q2: int) -> int:
-        return self.g(q2)
-
 
 @dataclass(frozen=True)
 class PolytopeReport:
@@ -161,13 +146,11 @@ def conditional_table(d: Distribution) -> ConditionalTable:
     computes it.
     """
     joint = d.as_array().reshape(4, 4)
-    table = np.empty((4, 4), dtype=np.float64)
-    for i, (q1, q2) in enumerate(PAIR_ORDER):
-        pair_prob = math.fsum(joint[i].tolist())
+    pair_probs = [math.fsum(row) for row in joint.tolist()]
+    for (q1, q2), pair_prob in zip(PAIR_ORDER, pair_probs):
         if not supported(pair_prob):
             raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
-        table[i] = joint[i] / pair_prob
-    return ConditionalTable(table)
+    return ConditionalTable(joint / np.array(pair_probs)[:, None])
 
 
 def check_tol(tol: float) -> float:
@@ -181,23 +164,18 @@ def check_tol(tol: float) -> float:
 def no_signaling_check(t: ConditionalTable, tol: float = DEFAULT_TOL) -> SignalingReport:
     """Largest dependence of each register's marginal on the remote outcome."""
     tol = check_tol(tol)
-    delta_q3 = max(
-        abs(t.output_marginal("q3", q1, 1) - t.output_marginal("q3", q1, -1)) for q1 in SIGNS
-    )
-    delta_q4 = max(
-        abs(t.output_marginal("q4", 1, q2) - t.output_marginal("q4", -1, q2)) for q2 in SIGNS
-    )
-    return SignalingReport(
-        delta_q3=float(delta_q3),
-        delta_q4=float(delta_q4),
-        signaling=max(delta_q3, delta_q4) > tol,
-        tol=tol,
-    )
+    cells = t.entries.reshape(2, 2, 2, 2)  # axes q1, q2, q3, q4; index 0 means +1
+    q3_plus = cells[:, :, 0, :].sum(axis=2)  # P(q3=+1 | q1, q2), indexed [q1, q2]
+    q4_plus = cells[:, :, :, 0].sum(axis=2)  # P(q4=+1 | q1, q2), indexed [q1, q2]
+    # Each delta is the largest absolute difference along the remote party's input axis.
+    delta_q3 = float(np.abs(q3_plus[:, 0] - q3_plus[:, 1]).max())
+    delta_q4 = float(np.abs(q4_plus[0] - q4_plus[1]).max())
+    return SignalingReport(delta_q3, delta_q4, signaling=max(delta_q3, delta_q4) > tol, tol=tol)
 
 
 def strategy_chsh(s: DeterministicStrategy) -> float:
     """The CHSH combination of E(q1, q2) = f(q1) g(q2), input pairs in PAIR_ORDER."""
-    return float(chsh_combination(*(s.f_of(q1) * s.g_of(q2) for q1, q2 in PAIR_ORDER)))
+    return float(chsh_combination(*(s.f(q1) * s.g(q2) for q1, q2 in PAIR_ORDER)))
 
 
 # The 16 deterministic strategies, f major, with their CHSH values; built and validated once.
@@ -211,10 +189,7 @@ def enumerate_strategies() -> list[tuple[DeterministicStrategy, float]]:
 
 def strategy_table(s: DeterministicStrategy) -> ConditionalTable:
     """Point-mass conditional table induced by one deterministic strategy."""
-    table = np.zeros((4, 4), dtype=np.float64)
-    for i, (q1, q2) in enumerate(PAIR_ORDER):
-        table[i, pair_index(s.f_of(q1), s.g_of(q2))] = 1.0
-    return ConditionalTable(table)
+    return ConditionalTable(np.eye(4)[[pair_index(s.f(q1), s.g(q2)) for q1, q2 in PAIR_ORDER]])
 
 
 def pr_box_table() -> ConditionalTable:
@@ -223,13 +198,8 @@ def pr_box_table() -> ConditionalTable:
     Reaches CHSH combination value 4, the no-signaling maximum; standard
     nonlocal, non-signaling fixture.
     """
-    table = np.zeros((4, 4), dtype=np.float64)
-    for i, (q1, q2) in enumerate(PAIR_ORDER):
-        want = -1 if (q1, q2) == (-1, -1) else 1
-        for j, (q3, q4) in enumerate(PAIR_ORDER):
-            if q3 * q4 == want:
-                table[i, j] = 0.5
-    return ConditionalTable(table)
+    want = np.array([-1.0 if pair == (-1, -1) else 1.0 for pair in PAIR_ORDER])
+    return ConditionalTable(0.5 * (want[:, None] == _PAIR_PRODUCT))
 
 
 def local_polytope_check(t: ConditionalTable, tol: float = DEFAULT_TOL) -> PolytopeReport:

@@ -241,5 +241,4 @@ def outcome_distribution(rho: DensityMatrix) -> Distribution:
     """Distribution of (q1, q2, q3, q4) under sigma_z measurement of all four qubits."""
     if rho.n_qubits != 4:
         raise DimensionMismatch(f"need a 4-qubit state, got {rho.n_qubits} qubits")
-    probs = measurement_probs(rho)
-    return Distribution({OUTCOMES[i]: float(probs[i]) for i in range(16)})
+    return Distribution.from_array(measurement_probs(rho))

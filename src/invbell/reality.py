@@ -150,5 +150,5 @@ def response_model_refutation(d: Distribution) -> list[tuple[ResponseFunction, R
     table = conditional_table(d)
     return [
         (s.f, s.g) for s, _ in enumerate_strategies()
-        if all(supported(table.entry(q1, q2, s.f_of(q1), s.g_of(q2))) for q1, q2 in PAIR_ORDER)
+        if all(supported(table.entry(q1, q2, s.f(q1), s.g(q2))) for q1, q2 in PAIR_ORDER)
     ]

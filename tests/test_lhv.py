@@ -64,7 +64,7 @@ def test_table_accessors():
     t = pr_box_table()
     assert t.entry(-1, -1, 1, -1) == 0.5
     assert t.entry(-1, -1, 1, 1) == 0.0
-    assert t.output_marginal("q3", 1, 1) == 0.5
+    assert t.entry(1, 1, 1, 1) + t.entry(1, 1, 1, -1) == 0.5
 
 
 # ---------------------------------------------------------- conditional_table
@@ -139,6 +139,26 @@ def test_random_product_tables_do_not_signal(seed):
     assert report.delta_q4 < 1e-12
 
 
+# A cell is an exact zero, a subnormal, a tiny normal or real mass; every row keeps real mass.
+_cell = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(min_value=1e-3, max_value=1.0))
+_row = st.lists(_cell, min_size=4, max_size=4).filter(lambda row: max(row) >= 1e-3)
+
+
+@given(st.lists(_row, min_size=4, max_size=4), st.floats(min_value=0.0, max_value=0.5))
+@settings(max_examples=300, deadline=None)
+def test_signaling_deltas_equal_the_per_cell_marginals(rows, tol):
+    """Reference: each marginal as the sum of its two cells, read row by row in PAIR_ORDER."""
+    rows = np.array(rows)
+    t = ConditionalTable(rows / rows.sum(axis=1, keepdims=True))
+    q3_plus = {pair: row[0] + row[1] for pair, row in zip(PAIR_ORDER, t.entries)}  # cells (+1, +1), (+1, -1)
+    q4_plus = {pair: row[0] + row[2] for pair, row in zip(PAIR_ORDER, t.entries)}  # cells (+1, +1), (-1, +1)
+    delta_q3 = float(max(abs(q3_plus[q1, 1] - q3_plus[q1, -1]) for q1 in SIGNS))
+    delta_q4 = float(max(abs(q4_plus[1, q2] - q4_plus[-1, q2]) for q2 in SIGNS))
+    report = no_signaling_check(t, tol)
+    assert (report.delta_q3, report.delta_q4) == (delta_q3, delta_q4)
+    assert report.signaling is (max(delta_q3, delta_q4) > tol)
+
+
 def test_pr_box_does_not_signal():
     report = no_signaling_check(pr_box_table(), tol=1e-9)
     assert report.delta_q3 == 0.0
@@ -194,7 +214,7 @@ def test_strategy_validation():
 def test_strategy_responses_reject_inputs_other_than_signs(response, value):
     s = DeterministicStrategy(f=(1, -1), g=(1, 1))
     with pytest.raises(ValueError):
-        getattr(s, f"{response}_of")(value)
+        getattr(s, response)(value)
 
 
 def test_strategy_halves_are_response_functions_with_int_values():
@@ -243,6 +263,18 @@ def test_mixtures_of_strategies_stay_local(seed):
     report = local_polytope_check(mixed, tol=1e-9)
     assert max(report.combination_values) <= 2.0 + 1e-12
     assert report.verdict == "local"
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_combination_values_are_left_to_right_sums(seed):
+    """A matrix product over the eight patterns differs in the last bit on some tables."""
+    rng = np.random.default_rng(seed)
+    for rows in rng.random((20, 4, 4)):
+        t = ConditionalTable(rows / rows.sum(axis=1, keepdims=True))
+        e0, e1, e2, e3 = t.correlators()
+        expected = tuple(float(s0 * e0 + s1 * e1 + s2 * e2 + s3 * e3) for s0, s1, s2, s3 in CHSH_SIGN_PATTERNS)
+        assert local_polytope_check(t).combination_values == expected
 
 
 def test_default_table_verdict_is_signaling(default_distribution):
@@ -309,9 +341,27 @@ def test_pair_index_ordering():
     assert [pair_index(a, b) for a, b in PAIR_ORDER] == [0, 1, 2, 3]
 
 
+def test_strategy_tables_equal_loop_built_tables():
+    for s, _ in enumerate_strategies():
+        expected = np.zeros((4, 4))
+        for i, (q1, q2) in enumerate(PAIR_ORDER):
+            expected[i, PAIR_ORDER.index((s.f(q1), s.g(q2)))] = 1.0
+        assert np.array_equal(strategy_table(s).entries, expected)
+
+
+def test_pr_box_equals_loop_built_table():
+    expected = np.zeros((4, 4))
+    for i, (q1, q2) in enumerate(PAIR_ORDER):
+        want = -1 if (q1, q2) == (-1, -1) else 1
+        for j, (q3, q4) in enumerate(PAIR_ORDER):
+            if q3 * q4 == want:
+                expected[i, j] = 0.5
+    assert np.array_equal(pr_box_table().entries, expected)
+
+
 def test_strategy_table_rows_are_point_masses():
     for s, _ in enumerate_strategies():
         t = strategy_table(s)
         for i, (q1, q2) in enumerate(PAIR_ORDER):
             assert t.entries[i].sum() == 1.0
-            assert t.entry(q1, q2, s.f_of(q1), s.g_of(q2)) == 1.0
+            assert t.entry(q1, q2, s.f(q1), s.g(q2)) == 1.0

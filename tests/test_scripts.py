@@ -34,13 +34,17 @@ CASES = [
 ]
 
 
-def invoke(argv: list[str]) -> dict:
+def run_script(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
+
+
+def invoke(argv: list[str]) -> dict:
+    done = run_script(argv)
     return {
         "argv": list(argv),
         "exit_code": done.returncode,
@@ -65,6 +69,25 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_script_stdout_matches_golden(argv):
     assert invoke(argv) == _load()[_case_id(argv)]
+
+
+# Bad arguments end in argparse's usage error: exit 2, nothing on stdout, one error line last.
+BAD_ARGUMENTS = [
+    (["chsh_sweep.py", "--draws", "0"], "--draws must be >= 1, got 0"),
+    (["chsh_sweep.py", "--draws", "-2"], "--draws must be >= 1, got -2"),
+    (["run_analysis.py", "--choice-prob", "2"], "--choice-prob must lie in [0, 1], got 2.0"),
+    (["run_analysis.py", "--choice-prob", "nan"], "--choice-prob must lie in [0, 1], got nan"),
+    (["run_analysis.py", "--samples", "-5"], "--samples must be 0 or in 1..1000000000, got -5"),
+    (["run_analysis.py", "--samples", "1000000001"], "--samples must be 0 or in 1..1000000000, got 1000000001"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS, ids=[_case_id(argv) for argv, _ in BAD_ARGUMENTS])
+def test_script_rejects_bad_argument_with_usage_error(argv, message):
+    done = run_script(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: ")
+    assert done.stderr.splitlines()[-1] == f"{argv[0]}: error: {message}"
 
 
 if __name__ == "__main__":
