@@ -11,14 +11,14 @@ import numpy as np
 from invbell.cli import MAX_SAMPLES
 from invbell.errors import MissingSupport
 from invbell.lhv import conditional_table, local_polytope_check, no_signaling_check, PAIR_ORDER
-from invbell.protocol import OUTCOMES, Scenario, build_final_density, check_choice_prob, outcome_distribution
+from invbell.protocol import CHOICE_MODES, OUTCOMES, Scenario, build_final_density, check_choice_prob, outcome_distribution
 from invbell.reality import DEFAULT_EPSILON, certainty_predictions, hardy_chain_check, response_model_refutation
 from invbell.stats import sample
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", default="coherent", choices=("coherent", "coin"))
+    parser.add_argument("--mode", default="coherent", choices=CHOICE_MODES)
     parser.add_argument("--choice-prob", type=float, default=0.5)
     parser.add_argument("--samples", type=int, default=0, help=f"0 = exact analysis, else at most {MAX_SAMPLES} draws")
     parser.add_argument("--seed", type=int, default=42)

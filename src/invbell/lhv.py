@@ -85,18 +85,12 @@ class SignalingReport:
 
 @dataclass(frozen=True)
 class ResponseFunction:
-    """A choice register written as a two-point function of one outcome."""
+    """A choice register as a two-point function of one outcome: its values at +1 and at -1."""
 
-    variable: str
-    conditioner: str
     at_plus: int
     at_minus: int
 
     def __post_init__(self):
-        if self.variable not in ("q3", "q4"):
-            raise ValueError(f"variable must be q3 or q4, got {self.variable!r}")
-        if self.conditioner not in ("q1", "q2"):
-            raise ValueError(f"conditioner must be q1 or q2, got {self.conditioner!r}")
         if self.at_plus not in SIGNS or self.at_minus not in SIGNS:
             raise ValueError("response values must be +1 or -1")
         object.__setattr__(self, "at_plus", int(self.at_plus))
@@ -104,7 +98,7 @@ class ResponseFunction:
 
     def __call__(self, value: int) -> int:
         if value not in SIGNS:
-            raise ValueError(f"{self.conditioner} must be +1 or -1, got {value!r}")
+            raise ValueError(f"outcome must be +1 or -1, got {value!r}")
         return self.at_plus if value == 1 else self.at_minus
 
 
@@ -116,8 +110,8 @@ class DeterministicStrategy:
     g: ResponseFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "f", ResponseFunction("q3", "q1", *self.f))
-        object.__setattr__(self, "g", ResponseFunction("q4", "q2", *self.g))
+        object.__setattr__(self, "f", ResponseFunction(*self.f))
+        object.__setattr__(self, "g", ResponseFunction(*self.g))
 
 
 @dataclass(frozen=True)

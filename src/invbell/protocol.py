@@ -92,19 +92,6 @@ def supported(p: float) -> bool:
     return p > 0.0
 
 
-def outcome_from_index(index: int) -> OutcomeQuadruple:
-    """Quadruple for basis-state `index` in 0..15 (Q1 is the most significant bit)."""
-    if not 0 <= index < 16:
-        raise ValueError(f"basis index {index!r} is not in 0..15")
-    return OUTCOMES[index]
-
-
-def index_of_outcome(outcome: OutcomeQuadruple) -> int:
-    if tuple(outcome) not in OUTCOMES:
-        raise ValueError(f"outcome {tuple(outcome)} is not four values from {{+1, -1}}")
-    return OUTCOMES.index(tuple(outcome))
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Probability table over the 16 outcome quadruples.
@@ -118,12 +105,9 @@ class Distribution:
     def __post_init__(self):
         table: dict[OutcomeQuadruple, float] = {o: 0.0 for o in OUTCOMES}
         for key, value in self.probs.items():
-            # A key equal to an outcome (table holds all 16) is stored under
-            # that outcome; any other key takes the field-by-field route.
+            # The table holds exactly the 16 outcomes, so a key it lacks is no outcome.
             if key not in table:
-                key = OutcomeQuadruple(*key)
-                if any(v not in SIGNS for v in key):
-                    raise ValueError(f"outcome {key} has values outside {{+1, -1}}")
+                raise ValueError(f"outcome {OutcomeQuadruple(*key)} has values outside {{+1, -1}}")
             value = float(value)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"probability of {OutcomeQuadruple(*key)} is {value!r}")

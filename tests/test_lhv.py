@@ -60,6 +60,16 @@ def test_table_validation_rejects_unnormalized_rows():
         ConditionalTable(np.full((4, 4), 0.3))
 
 
+def test_table_row_sum_tolerance_is_atol():
+    # A row may miss 1 by roundoff (5e-13 < ATOL = 1e-12), not by 1e-9.
+    rows = np.full((4, 4), 0.25)
+    rows[0, 0] += 5e-13
+    ConditionalTable(rows)
+    rows[0, 0] = 0.25 + 1e-9
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        ConditionalTable(rows)
+
+
 def test_table_accessors():
     t = pr_box_table()
     assert t.entry(-1, -1, 1, -1) == 0.5
@@ -219,8 +229,8 @@ def test_strategy_responses_reject_inputs_other_than_signs(response, value):
 
 def test_strategy_halves_are_response_functions_with_int_values():
     s = DeterministicStrategy(f=(1.0, -1), g=(1, 1))
-    assert s.f == ResponseFunction("q3", "q1", 1, -1)
-    assert s.g == ResponseFunction("q4", "q2", 1, 1)
+    assert s.f == ResponseFunction(1, -1)
+    assert s.g == ResponseFunction(1, 1)
     assert type(s.f.at_plus) is int and s.f.at_plus == 1
 
 
@@ -246,10 +256,12 @@ def test_changing_a_returned_strategy_list_leaves_the_next_one_alone():
 
 
 def test_every_strategy_table_is_local():
-    for s, _ in enumerate_strategies():
-        report = local_polytope_check(strategy_table(s), tol=1e-9)
+    # A deterministic strategy reaches the classical bound exactly, which is still local at tol 0.
+    for (s, _), tol in itertools.product(enumerate_strategies(), (1e-9, 0.0)):
+        report = local_polytope_check(strategy_table(s), tol=tol)
         assert report.verdict == "local"
         assert not report.signaling.signaling
+        assert max(report.combination_values) == 2.0
 
 
 @given(seeds)

@@ -18,9 +18,7 @@ from invbell.protocol import (
     as_real,
     bell_state,
     build_final_density,
-    index_of_outcome,
     outcome_distribution,
-    outcome_from_index,
 )
 from invbell.qcore import (
     StateVector,
@@ -82,23 +80,6 @@ def test_bell_state_correlations():
 # ------------------------------------------------------------------- encoding
 
 
-def test_outcome_index_round_trip():
-    for i in range(16):
-        assert index_of_outcome(outcome_from_index(i)) == i
-
-
-@pytest.mark.parametrize("index", [16, -1, 100])
-def test_outcome_from_index_rejects_out_of_range(index):
-    with pytest.raises(ValueError):
-        outcome_from_index(index)
-
-
-@pytest.mark.parametrize("outcome", [(1, 1, 1, 0), (3, 1, 1, 1), (1, 1, 1), (1, 1, 1, 1, 1)])
-def test_index_of_outcome_rejects_non_signs(outcome):
-    with pytest.raises(ValueError):
-        index_of_outcome(outcome)
-
-
 def test_supported_is_exact_positivity():
     assert protocol.supported(1.0) and protocol.supported(5e-324)
     assert not protocol.supported(0.0) and not protocol.supported(-0.0) and not protocol.supported(-1e-300)
@@ -129,6 +110,13 @@ def test_distribution_rejects_bad_total():
         Distribution({OutcomeQuadruple(1, 1, 1, 1): 0.5})
 
 
+def test_distribution_sum_tolerance_is_atol():
+    # The probabilities may miss 1 by roundoff (5e-13 < ATOL = 1e-12), not by 1e-9.
+    Distribution.from_array([1.0 + 5e-13] + [0.0] * 15)
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        Distribution.from_array([1.0 + 1e-9] + [0.0] * 15)
+
+
 def test_distribution_rejects_bad_values():
     with pytest.raises(ValueError):
         Distribution({(1, 1, 1, 0): 1.0})
@@ -150,6 +138,38 @@ def test_distribution_rejects_wrong_length_key():
 def test_distribution_bad_key_message():
     with pytest.raises(ValueError, match=r"^outcome OutcomeQuadruple\(q1=1, q2=2, q3=1, q4=1\) has values outside \{\+1, -1\}$"):
         Distribution({(1, 2, 1, 1): 1.0})
+
+
+class One:
+    """Equal to 1 but hashed differently, so it is not the outcome value 1 as a table key."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __hash__(self):
+        return 7
+
+    def __repr__(self):
+        return "One()"
+
+
+def test_distribution_rejects_a_key_that_only_compares_equal_to_an_outcome():
+    # Stored as a 17th cell, this key would pass the sum check while as_array() summed to 0.
+    with pytest.raises(ValueError, match=r"^outcome OutcomeQuadruple\(q1=One\(\), q2=1, q3=1, q4=1\) has values outside"):
+        Distribution({(One(), 1, 1, 1): 1.0})
+
+
+@given(st.dictionaries(
+    st.tuples(*[st.sampled_from([1, -1, 1.0, -1.0, True, np.int64(-1)])] * 4),
+    st.floats(0.01, 1.0),
+    min_size=1,
+    max_size=16,
+))
+def test_every_distribution_has_exactly_the_16_outcome_keys(probs):
+    total = math.fsum(probs.values())
+    d = Distribution({key: value / total for key, value in probs.items()})
+    assert list(d.probs) == list(OUTCOMES)
+    assert all(type(o) is OutcomeQuadruple for o in d.probs)
 
 
 def test_distribution_bad_value_message():

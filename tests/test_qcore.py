@@ -74,6 +74,20 @@ def test_density_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def test_density_negativity_slack_is_neg_tol():
+    # NEG_TOL = 1e-10: an eigenvalue of -5e-11 is roundoff; -2e-10 and -1e-6 are not.
+    DensityMatrix(np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]))
+    for eig in (-2e-10, -1e-6):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(np.diag([0.5 - eig, 0.5, eig, 0.0]))
+
+
+def test_density_hermiticity_tolerance_is_atol():
+    DensityMatrix(np.array([[0.5, 5e-13], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, 1e-9], [0.0, 0.5]]))
+
+
 def test_values_are_read_only():
     s = basis_state(1, 0)
     with pytest.raises(ValueError):
@@ -363,6 +377,11 @@ def test_measurement_probs_basis_state():
 def test_measurement_probs_pair_state():
     probs = measurement_probs(density_from_state(pair_state()))
     assert np.allclose(probs, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+
+
+def test_measurement_probs_clips_roundoff_negativity_to_zero():
+    probs = measurement_probs(DensityMatrix(np.diag([0.5 + 1e-13, 0.5, -1e-13, 0.0])))
+    assert probs[2] == 0.0 and probs.min() == 0.0
 
 
 @given(seeds, st.integers(min_value=1, max_value=4))

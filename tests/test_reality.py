@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -72,6 +73,13 @@ def test_predictions_on_random_distributions_are_consistent(seed):
         assert conditional(d, {p.predicted_variable: p.predicted_value}, p.given) >= 1.0 - epsilon
 
 
+def test_certainty_at_epsilon_zero_keeps_the_exact_certainties():
+    # Under a point mass every variable is certain given each of the 8 supported events of the other three.
+    predictions = certainty_predictions(Distribution.point_mass((1, -1, 1, -1)), 0.0)
+    assert len(predictions) == 32
+    assert all(p.confidence == 1.0 for p in predictions)
+
+
 # ------------------------------------------------------------ hardy_chain_check
 
 
@@ -127,6 +135,15 @@ def test_chain_epsilon_zero_agrees_with_tiny_epsilon(default_distribution):
         loose = hardy_chain_check(d, 1e-9)
         assert strict.contradiction == loose.contradiction
         assert strict.established == loose.established
+
+
+def test_chain_needs_f0_strictly_above_epsilon():
+    # F1 = F2 = 1 and F3 = 0 hold exactly, but the anchor event has weight F0 = 0.
+    d = Distribution({(1, 1, -1, -1): 0.25, (1, -1, 1, -1): 0.25, (-1, 1, -1, 1): 0.25, (-1, -1, 1, 1): 0.25})
+    report = hardy_chain_check(d, epsilon=0.0)
+    assert report.values == (0.0, 1.0, 1.0, 0.0)
+    assert report.established == (True, True, True, True)
+    assert not report.contradiction
 
 
 def test_chain_epsilon_validation(default_distribution):
@@ -221,9 +238,9 @@ def reference_survivors(d):
                 raise MissingSupport(f"(q1, q2)=({q1:+d}, {q2:+d}) has probability zero")
     survivors = []
     for f_plus, f_minus in itertools.product(SIGNS, repeat=2):
-        f = ResponseFunction("q3", "q1", f_plus, f_minus)
+        f = ResponseFunction(f_plus, f_minus)
         for g_plus, g_minus in itertools.product(SIGNS, repeat=2):
-            g = ResponseFunction("q4", "q2", g_plus, g_minus)
+            g = ResponseFunction(g_plus, g_minus)
             if all(
                 conditional(d, {"q3": f(q1), "q4": g(q2)}, {"q1": q1, "q2": q2}) > 0.0
                 for q1 in SIGNS
@@ -262,22 +279,24 @@ def test_refutation_of_an_unsupported_row_raises_the_table_message(d):
 
 
 def test_response_function_call():
-    f = ResponseFunction("q3", "q1", at_plus=1, at_minus=-1)
+    f = ResponseFunction(at_plus=1, at_minus=-1)
     assert f(1) == 1 and f(-1) == -1
 
 
 @pytest.mark.parametrize("value", [5, 0, -2, 1.5, None])
 def test_response_function_rejects_inputs_other_than_signs(value):
-    f = ResponseFunction("q3", "q1", 1, -1)
+    f = ResponseFunction(1, -1)
     with pytest.raises(ValueError) as exc:
         f(value)
-    assert str(exc.value) == f"q1 must be +1 or -1, got {value!r}"
+    assert str(exc.value) == f"outcome must be +1 or -1, got {value!r}"
 
 
 def test_response_function_validation():
     with pytest.raises(ValueError):
-        ResponseFunction("q1", "q1", 1, 1)
-    with pytest.raises(ValueError):
-        ResponseFunction("q3", "q3", 1, 1)
-    with pytest.raises(ValueError):
-        ResponseFunction("q3", "q1", 0, 1)
+        ResponseFunction(0, 1)
+
+
+def test_response_function_is_its_two_values():
+    # The role (which register answers which outcome) is fixed by DeterministicStrategy.f/.g.
+    assert [f.name for f in dataclasses.fields(ResponseFunction)] == ["at_plus", "at_minus"]
+    assert ResponseFunction(1, -1) == ResponseFunction(at_plus=1, at_minus=-1)

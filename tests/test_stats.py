@@ -246,6 +246,12 @@ def test_sample_rejects_non_integer_arguments(args):
         sample(Distribution.uniform(), *args)
 
 
+def test_sample_rejects_chunk_size_zero(default_distribution):
+    # A chunk of zero draws would never advance through the draw range.
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        sample(default_distribution, 10, seed=1, chunk_size=0)
+
+
 def test_sample_accepts_numpy_integers(default_distribution):
     a = sample(default_distribution, np.int64(300), np.uint64(9), chunk_size=np.int32(7))
     b = sample(default_distribution, 300, 9)
