@@ -101,6 +101,10 @@ class ResponseFunction:
             raise ValueError(f"outcome must be +1 or -1, got {value!r}")
         return self.at_plus if value == 1 else self.at_minus
 
+    def __iter__(self):
+        """(at_plus, at_minus), so a ResponseFunction is accepted wherever that pair is."""
+        return iter((self.at_plus, self.at_minus))
+
 
 @dataclass(frozen=True)
 class DeterministicStrategy:

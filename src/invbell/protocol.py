@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import numbers
+import types
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -97,7 +98,7 @@ class Distribution:
     """Probability table over the 16 outcome quadruples.
 
     Missing quadruples default to probability zero.  Values must be
-    nonnegative and sum to one within 1e-12.
+    nonnegative and sum to one within 1e-12; `probs` is then read-only.
     """
 
     probs: Mapping[OutcomeQuadruple, float]
@@ -115,7 +116,7 @@ class Distribution:
         total = math.fsum(table.values())
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", table)
+        object.__setattr__(self, "probs", types.MappingProxyType(table))
 
     def as_array(self) -> np.ndarray:
         """Probabilities in basis-index order."""

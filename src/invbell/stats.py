@@ -9,6 +9,7 @@ every platform.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -95,11 +96,8 @@ def marginal(d: Distribution, variables: Iterable[str]) -> dict[tuple[int, ...],
     names = [v for v in VARIABLES if v in requested]
     if not names:
         raise ValueError("marginal needs at least one variable")
-    out: dict[tuple[int, ...], float] = {}
-    for outcome, p in d.probs.items():
-        key = tuple(getattr(outcome, v) for v in names)
-        out[key] = out.get(key, 0.0) + p
-    return out
+    events = itertools.product(SIGNS, repeat=len(names))
+    return {values: prob(d, dict(zip(names, values))) for values in events}
 
 
 @dataclass(frozen=True)
@@ -205,12 +203,8 @@ def sample(d: Distribution, n: int, seed: int, chunk_size: int = 1 << 16) -> Sam
     probs = d.as_array()
     cdf = np.cumsum(probs)
     counts = np.zeros(16, dtype=np.int64)
-    start = 0
-    while start < n:
-        block = min(chunk_size, n - start)
-        u = _uniform_block(seed, start, block)
-        counts += _bucket_counts(u, cdf)
-        start += block
+    for start in range(0, n, chunk_size):
+        counts += _bucket_counts(_uniform_block(seed, start, min(chunk_size, n - start)), cdf)
     tv = 0.5 * float(np.abs(counts / n - probs).sum())
     return SampleReport(
         n=n,

@@ -1,7 +1,14 @@
-"""Shared test fixtures: expected tables, random instances, reference RNG."""
+"""Shared test fixtures: expected tables, random instances, reference RNG, golden files."""
+
+import contextlib
+import functools
+import io
+import json
+import pathlib
 
 import numpy as np
 
+from invbell import cli
 from invbell.protocol import Distribution, OutcomeQuadruple
 from invbell.qcore import DensityMatrix, StateVector, UnitaryMatrix
 
@@ -81,3 +88,49 @@ def reference_uniform(seed, index):
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
     z = (z ^ (z >> 31)) & _U64
     return (z >> 11) * 2.0 ** -53
+
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """`invbell argv` in process: (exit code, stdout, stderr); argparse's SystemExit gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_record(argv: list[str]) -> dict:
+    """A run as the golden files store it."""
+    code, out, err = run_cli(argv)
+    # Lines, ends kept, so that a changed byte shows as one changed line of the golden file.
+    return {
+        "argv": list(argv),
+        "exit_code": code,
+        "stdout": out.splitlines(keepends=True),
+        "stderr": err.splitlines(keepends=True),
+    }
+
+
+def case_id(argv: list[str]) -> str:
+    return " ".join(argv) or "(no arguments)"
+
+
+@functools.cache
+def golden(name: str) -> dict:
+    """The cases of `tests/golden/<name>`, keyed by case_id."""
+    with open(GOLDEN_DIR / name, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_golden(name: str, cases: list[list[str]], record) -> None:
+    """Regenerate `tests/golden/<name>` from record(argv) for every case."""
+    records = {case_id(argv): record(argv) for argv in cases}
+    with open(GOLDEN_DIR / name, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(records)} cases to {GOLDEN_DIR / name}")

@@ -6,9 +6,11 @@ Usage: python tests/mutants.py
 Each mutant replaces one exact text in one file of the tree.  The runner
 first runs Tier-1 on an unmutated copy, which must pass; its time sets the
 per-mutant timeout.  Then, per mutant, it copies the tree to a temporary
-directory, applies the mutant there and runs Tier-1 with -x.  A nonzero exit
-or a timeout counts as killed.  The exit status is 0 when every mutant is
-killed, 1 when any survives and 2 when the unmutated tree fails.
+directory, applies the mutant there and runs Tier-1 with -x, the mutated
+module's own tests/test_<module>.py first, so that most mutants fail within
+seconds.  A nonzero exit or a timeout counts as killed.  The exit status is
+0 when every mutant is killed, 1 when any survives and 2 when the unmutated
+tree fails.
 
 Standard library only.  pytest does not collect this file;
 tests/test_mutants.py checks that each old text still occurs exactly once,
@@ -33,11 +35,7 @@ import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# tests/test_mutants.py is left out: it finds every mutant by its text, not by its behaviour.
-TIER1 = (
-    "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-    "--ignore=tests/test_mutants.py",
-)
+TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 
 
@@ -113,7 +111,7 @@ MUTANTS = (
         "src/invbell/stats.py",
         "if chunk_size < 1:",
         "if chunk_size < 0:",
-        "a chunk of zero draws never advances, so sample loops forever",
+        "a chunk of zero draws must fail sample's own check, not reach range() with a zero step",
     ),
     # Faults that earlier changes checked by hand in scratch copies.
     Mutant(
@@ -157,14 +155,22 @@ MUTANTS = (
 )
 
 
-def run_tier1(tree: pathlib.Path, timeout: float | None) -> tuple[str, float]:
-    """Run Tier-1 in `tree`: returns ("passed" | "failed" | "timeout", seconds)."""
+def tier1_files(tree: pathlib.Path, first: str = "") -> list[str]:
+    """Tier-1's test files in name order, with `first` moved to the front."""
+    files = sorted(p.relative_to(tree).as_posix() for p in (tree / "tests").glob("test_*.py"))
+    # Left out: it finds every mutant by its text, not by its behaviour.
+    files.remove("tests/test_mutants.py")
+    return sorted(files, key=lambda name: name != first)
+
+
+def run_tier1(tree: pathlib.Path, timeout: float | None, first: str = "") -> tuple[str, float]:
+    """Run Tier-1 in `tree`, `first` first: returns ("passed" | "failed" | "timeout", seconds)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
     start = time.monotonic()
     # A session of its own, so a timeout also stops any subprocess a test started.
     proc = subprocess.Popen(
-        [sys.executable, *TIER1], cwd=tree, env=env,
+        [sys.executable, *TIER1, *tier1_files(tree, first)], cwd=tree, env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
     )
     try:
@@ -198,7 +204,8 @@ def main() -> int:
     survivors = []
     for mutant in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
-            status, seconds = run_tier1(copy_tree(pathlib.Path(tmp), mutant), timeout)
+            own_tests = f"tests/test_{pathlib.PurePath(mutant.path).stem}.py"
+            status, seconds = run_tier1(copy_tree(pathlib.Path(tmp), mutant), timeout, own_tests)
         verdict = "SURVIVED" if status == "passed" else f"killed ({status})"
         print(f"{mutant.name:34s} {verdict:18s} {seconds:6.1f} s  {mutant.path}", flush=True)
         if status == "passed":

@@ -8,13 +8,12 @@ counts stay at most 2,000 or beyond the cap, so each example runs in
 milliseconds.
 """
 
-import contextlib
-import io
 import re
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import run_cli
 from invbell import cli
 
 HOSTILE_VALUES = [
@@ -59,16 +58,6 @@ def argvs(draw, config_path):
     return argv
 
 
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_exit_code_contract(tmp_path_factory):
     config_path = str(tmp_path_factory.mktemp("contract") / "run.cfg")
 
@@ -79,7 +68,7 @@ def test_exit_code_contract(tmp_path_factory):
     def check(argv, content):
         with open(config_path, "wb") as fh:
             fh.write(content)
-        code, out, err = invoke(argv)
+        code, out, err = run_cli(argv)
         assert code in (0, 2, 3), (argv, content, code, err)
         if code == 0:
             assert out and not err

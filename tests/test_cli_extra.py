@@ -17,9 +17,6 @@ which CPython changed after 3.11; those cases are pinned for the 3.10 and
 """
 
 import contextlib
-import functools
-import io
-import json
 import os
 import pathlib
 import sys
@@ -27,9 +24,8 @@ import tempfile
 
 import pytest
 
+from helpers import case_id, cli_record, golden, write_golden
 from invbell import cli
-
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_extra.json"
 
 CONFIG_FILES = {
     "values.cfg": "mode=coin\nchoice-prob=0.25\nseed=5\nformat=json\n# comment line\n\nepsilon=0.01\ntol=1e-6\n",
@@ -103,21 +99,6 @@ CASES = [
 ]
 
 
-def invoke(argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {
-        "argv": list(argv),
-        "exit_code": code,
-        "stdout": out.getvalue().splitlines(keepends=True),
-        "stderr": err.getvalue().splitlines(keepends=True),
-    }
-
-
 @contextlib.contextmanager
 def case_directory():
     """A fresh working directory holding CONFIG_FILES, with the terminal width fixed for help texts."""
@@ -140,32 +121,18 @@ def case_directory():
                 os.environ["COLUMNS"] = old_columns
 
 
-def _case_id(argv: list[str]) -> str:
-    return " ".join(argv) or "(no arguments)"
-
-
-@functools.cache
-def _load() -> dict:
-    with open(GOLDEN, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def test_golden_file_covers_every_case():
-    assert sorted(_load()) == sorted(_case_id(argv) for argv in CASES)
+    assert sorted(golden("cli_extra.json")) == sorted(case_id(argv) for argv in CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=_case_id)
+@pytest.mark.parametrize("argv", CASES, ids=case_id)
 def test_cli_bytes_match_golden(argv):
     if argv in ARGPARSE_CASES and sys.version_info[:2] not in ((3, 10), (3, 11)):
         pytest.skip("argparse wording is pinned for CPython 3.10 and 3.11")
     with case_directory():
-        assert invoke(argv) == _load()[_case_id(argv)]
+        assert cli_record(argv) == golden("cli_extra.json")[case_id(argv)]
 
 
 if __name__ == "__main__":
     with case_directory():
-        golden = {_case_id(argv): invoke(argv) for argv in CASES}
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}")
+        write_golden("cli_extra.json", CASES, cli_record)

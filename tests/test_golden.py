@@ -9,17 +9,9 @@ output change, regenerate the file with
 and explain in CHANGES.md which bytes changed and why.
 """
 
-import contextlib
-import functools
-import io
-import json
-import pathlib
-
 import pytest
 
-from invbell import cli
-
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+from helpers import case_id, cli_record, golden, write_golden
 
 COMMANDS = ("rho", "hardy", "nosignal", "chsh", "lhv", "sample")
 FORMATS = ("table", "json", "csv")
@@ -63,42 +55,14 @@ def cases() -> list[list[str]]:
     return argvs
 
 
-def invoke(argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    # Lines, ends kept, so that a changed byte shows as one changed line of the golden file.
-    return {
-        "argv": list(argv),
-        "exit_code": code,
-        "stdout": out.getvalue().splitlines(keepends=True),
-        "stderr": err.getvalue().splitlines(keepends=True),
-    }
-
-
-def _case_id(argv: list[str]) -> str:
-    return " ".join(argv)
-
-
-@functools.cache
-def _load() -> dict:
-    with open(GOLDEN, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def test_golden_file_covers_every_case():
-    assert sorted(_load()) == sorted(_case_id(argv) for argv in cases())
+    assert sorted(golden("cli.json")) == sorted(case_id(argv) for argv in cases())
 
 
-@pytest.mark.parametrize("argv", cases(), ids=_case_id)
+@pytest.mark.parametrize("argv", cases(), ids=case_id)
 def test_cli_bytes_match_golden(argv):
-    assert invoke(argv) == _load()[_case_id(argv)]
+    assert cli_record(argv) == golden("cli.json")[case_id(argv)]
 
 
 if __name__ == "__main__":
-    golden = {_case_id(argv): invoke(argv) for argv in cases()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}")
+    write_golden("cli.json", cases(), cli_record)

@@ -100,6 +100,14 @@ def test_distribution_fills_missing_outcomes():
     assert len(d.probs) == 16
 
 
+def test_distribution_table_is_read_only():
+    # A checked table cannot be changed into one that no longer sums to 1.
+    d = Distribution.uniform()
+    with pytest.raises(TypeError):
+        d.probs[OUTCOMES[0]] = 5.0
+    assert d.probs[OUTCOMES[0]] == 1.0 / 16.0
+
+
 def test_distribution_rejects_negative():
     with pytest.raises(ValueError):
         Distribution({OutcomeQuadruple(1, 1, 1, 1): 1.5, OutcomeQuadruple(1, 1, 1, -1): -0.5})

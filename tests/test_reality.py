@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import SIGNS, all_strategy_distributions, random_distribution, strategy_distribution
 from invbell.errors import MissingSupport
-from invbell.lhv import conditional_table, enumerate_strategies
+from invbell.lhv import DeterministicStrategy, conditional_table, enumerate_strategies
 from invbell.protocol import Distribution, OutcomeQuadruple
 from invbell.reality import (
     CertaintyPrediction,
@@ -203,6 +203,15 @@ def test_refutation_returns_the_strategies_own_halves():
     assert len(survivors) == len(strategies)
     for (f, g), s in zip(survivors, strategies):
         assert f is s.f and g is s.g
+
+
+def test_refutation_survivors_rebuild_their_strategies():
+    # A ResponseFunction stands wherever a (value at +1, value at -1) pair does.
+    survivors = response_model_refutation(Distribution.uniform())
+    assert [DeterministicStrategy(*pair) for pair in survivors] == [s for s, _ in enumerate_strategies()]
+    s = DeterministicStrategy(*survivors[0])
+    assert dataclasses.replace(s, g=(-1, 1)) == DeterministicStrategy(s.f, ResponseFunction(-1, 1))
+    assert tuple(ResponseFunction(1, -1)) == (1, -1)
 
 
 # Cells that are not exact zeros but sit far below any real probability: the

@@ -11,8 +11,6 @@ After a deliberate output change, regenerate the file with
 and explain in CHANGES.md which bytes changed and why.
 """
 
-import functools
-import json
 import os
 import pathlib
 import subprocess
@@ -20,8 +18,9 @@ import sys
 
 import pytest
 
+from helpers import case_id, golden, write_golden
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden" / "scripts.json"
 
 CASES = [
     ["run_analysis.py"],
@@ -52,23 +51,13 @@ def invoke(argv: list[str]) -> dict:
     }
 
 
-def _case_id(argv: list[str]) -> str:
-    return " ".join(argv)
-
-
-@functools.cache
-def _load() -> dict:
-    with open(GOLDEN, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def test_golden_file_covers_every_case():
-    assert sorted(_load()) == sorted(_case_id(argv) for argv in CASES)
+    assert sorted(golden("scripts.json")) == sorted(case_id(argv) for argv in CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=_case_id)
+@pytest.mark.parametrize("argv", CASES, ids=case_id)
 def test_script_stdout_matches_golden(argv):
-    assert invoke(argv) == _load()[_case_id(argv)]
+    assert invoke(argv) == golden("scripts.json")[case_id(argv)]
 
 
 # Bad arguments end in argparse's usage error: exit 2, nothing on stdout, one error line last.
@@ -82,7 +71,7 @@ BAD_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS, ids=[_case_id(argv) for argv, _ in BAD_ARGUMENTS])
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS, ids=[case_id(argv) for argv, _ in BAD_ARGUMENTS])
 def test_script_rejects_bad_argument_with_usage_error(argv, message):
     done = run_script(argv)
     assert (done.returncode, done.stdout) == (2, "")
@@ -91,8 +80,4 @@ def test_script_rejects_bad_argument_with_usage_error(argv, message):
 
 
 if __name__ == "__main__":
-    golden = {_case_id(argv): invoke(argv) for argv in CASES}
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}")
+    write_golden("scripts.json", CASES, invoke)
