@@ -39,12 +39,8 @@ from .qcore import (
     ATOL,
     DensityMatrix,
     StateVector,
-    UnitaryMatrix,
-    _apply_kernel,
     _check_norm,
     _check_weights,
-    controlled_unitary,
-    hadamard,
     measurement_probs,
 )
 
@@ -166,60 +162,52 @@ def bell_state() -> StateVector:
     return StateVector(amps)
 
 
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-_KET1 = np.array([0.0, 1.0], dtype=np.complex128)
+# The gates on integers: sqrt(2) H = [[1, 1], [1, -1]] and sqrt(2) |Phi-> as a table
+# [q1, q2].  Register bit a (Q3) = 1 rotates Q1 and b (Q4) = 1 rotates Q2, so
+# n[q1, q2, a, b] = [(H^a (x) H^b) |Phi->]_{q1 q2} times sqrt(2)^(1 + a + b).
+_INT_GATES = np.array([[[1, 0], [0, 1]], [[1, 1], [1, -1]]])
+_GATE_TABLE = np.einsum("aij,jk,blk->ilab", _INT_GATES, np.array([[1, 0], [0, -1]]), _INT_GATES)
+_ROOT2_POWER = 1 + np.add.outer((0, 1), (0, 1))  # the k = 1 + a + b of each register pair
+_AMPLITUDE_SCALE = _GATE_TABLE * 0.5 ** (_ROOT2_POWER / 2)
+# n^2 / 2^k is a power of two or zero, so scaling fl(w_a w_b) by it is exact.
+_DIAGONAL_SCALE = _GATE_TABLE**2 * 0.5**_ROOT2_POWER
+_A_BITS, _B_BITS = (np.arange(16) >> 1) & 1, np.arange(16) & 1  # register bits of each basis index
 
 
-def _register_branches(mode: str, z_prob: float) -> list[tuple[float, np.ndarray]]:
-    """Weighted ancilla preparations for one party's choice register."""
-    if mode == "coherent":
-        amp = np.array([math.sqrt(z_prob), math.sqrt(1.0 - z_prob)], dtype=np.complex128)
-        return [(1.0, amp)]
-    branches = []
-    if z_prob > 0.0:
-        branches.append((z_prob, _KET0))
-    if z_prob < 1.0:
-        branches.append((1.0 - z_prob, _KET1))
-    return branches
+def _kept(bits: np.ndarray, mode: str) -> np.ndarray:
+    """Index pairs whose coherence survives: a coin-driven register keeps none across its two values."""
+    return (bits[:, None] == bits) | (mode == "coherent")
 
 
-@functools.cache
-def _controlled_hadamard() -> UnitaryMatrix:
-    """Hadamard on the second of two qubits when the first is |1>; built and validated once."""
-    return controlled_unitary(hadamard(), control=0, target=1, n=2)
+_KEPT_COHERENCES = {(a, b): _kept(_A_BITS, a) & _kept(_B_BITS, b) for a in CHOICE_MODES for b in CHOICE_MODES}
 
 
 def build_final_density(s: Scenario) -> DensityMatrix:
-    """Final four-qubit state of the experiment described by `s`.
+    """Final four-qubit state of the experiment described by `s`, in closed form.
 
-    Each branch tensors the entangled pair with the two register
-    preparations, then applies a controlled Hadamard from Q3 onto Q1 and
-    from Q4 onto Q2.  Coin-mode registers contribute one branch per coin
-    face; coherent registers contribute a single superposed branch.
+    The controlled Hadamards from Q3 onto Q1 and from Q4 onto Q2 leave the
+    amplitude n[q1, q2, a, b] sqrt(w_a w_b) / sqrt(2)^(1 + a + b), with the
+    integer table n of the gates and register weights w = (p, 1 - p).  A
+    coin-driven register is the mixture over its two values, the same state
+    without the coherences across them.  Each diagonal entry is
+    fl(w_a w_b) n^2 / 2^(1 + a + b), which rounds the probability of the
+    float weights once, so an outcome the gates cannot produce has
+    probability exactly 0.0.
 
-    The branches are built on raw arrays with the arithmetic of the public
-    `qcore` wrappers (`kron`, `apply_unitary`, `density_from_state`, `mix`),
-    so the result is bit-identical to that route.  Validation happens at
-    the boundary: each branch's norm and the branch weights are checked as
-    `StateVector` and `mix` check them, and the returned `DensityMatrix`
-    runs its Hermiticity, trace and eigenvalue checks once.
+    The weights and the norm of the pure amplitudes are checked as `mix`
+    and `StateVector` check them, and the returned `DensityMatrix` runs its
+    Hermiticity, trace and eigenvalue checks once.
     """
-    pair = bell_state().amplitudes
-    ch = _controlled_hadamard().matrix
-    branches = [
-        (w_a * w_b, reg3, reg4)
-        for w_a, reg3 in _register_branches(s.alice_mode, s.choice_prob)
-        for w_b, reg4 in _register_branches(s.bob_mode, s.choice_prob)
-    ]
-    _check_weights([w for w, _, _ in branches])
-    total = np.zeros((16, 16), dtype=np.complex128)
-    for w, reg3, reg4 in branches:
-        amps = np.multiply.outer(np.multiply.outer(pair, reg3).ravel(), reg4).ravel()
-        amps = _apply_kernel(amps, ch, [2, 0])
-        amps = _apply_kernel(amps, ch, [3, 1])
-        _check_norm(amps)
-        total += w * np.outer(amps, amps.conj())
-    return DensityMatrix(total)
+    weights = [s.choice_prob, 1.0 - s.choice_prob]
+    _check_weights(weights)
+    w = np.array(weights)
+    root = np.sqrt(w)
+    amps = (_AMPLITUDE_SCALE * np.multiply.outer(root, root)).reshape(16)
+    _check_norm(amps)
+    rho = np.multiply.outer(amps, amps)
+    rho *= _KEPT_COHERENCES[s.alice_mode, s.bob_mode]
+    np.fill_diagonal(rho, (_DIAGONAL_SCALE * np.multiply.outer(w, w)).reshape(16))
+    return DensityMatrix(rho)
 
 
 def outcome_distribution(rho: DensityMatrix) -> Distribution:

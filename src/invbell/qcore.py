@@ -6,7 +6,7 @@ The public wrappers check their invariants on every value that crosses this
 API.  Their arithmetic and their checks are private helpers on raw arrays
 (`_apply_kernel`, `_check_norm`, `_check_weights`), so a caller that builds
 a value in several internal steps, such as `protocol.build_final_density`,
-runs the same arithmetic and validates only the value it returns.
+runs the same checks and validates only the value it returns.
 Qubit 0 is the most significant bit of the basis index: the basis state
 |b0 b1 ... b_{n-1}> has index sum(b_i << (n-1-i)), and tensor products read
 left to right.  All operations are pure functions; nothing here mutates.
@@ -36,7 +36,8 @@ def _as_complex(values, name: str, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    # A complex entry is finite when both its parts are.
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

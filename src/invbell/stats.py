@@ -154,15 +154,21 @@ _U64_MASK = (1 << 64) - 1
 
 def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform [0, 1) doubles for draw indices start..start+count-1."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed) + idx * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _MIX_A
+    z ^= z >> np.uint64(27)
+    z *= _MIX_B
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
-def _bucket_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def _bucket_counts(u: np.ndarray, cdf: np.ndarray) -> list[int]:
     """Per-outcome counts of the draws `u` under the 16-entry nondecreasing `cdf`.
 
     Draw u lands in bucket k when cdf[k-1] <= u < cdf[k], so the draws in
@@ -170,8 +176,8 @@ def _bucket_counts(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     u >= cdf[15].  This is searchsorted(cdf, u, side="right") clipped to 15,
     counted by 15 comparisons per draw instead of a binary search.
     """
-    below = [np.count_nonzero(u < c) for c in cdf[:15].tolist()]
-    return np.diff(np.array(below + [u.size], dtype=np.int64), prepend=0)
+    below = [0, *(np.count_nonzero(u < c) for c in cdf[:15].tolist()), u.size]
+    return [hi - lo for lo, hi in zip(below, below[1:])]
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,6 @@ def sample(d: Distribution, n: int, seed: int, chunk_size: int = 1 << 16) -> Sam
     return SampleReport(
         n=n,
         seed=seed,
-        counts={OUTCOMES[i]: int(counts[i]) for i in range(16)},
+        counts=dict(zip(OUTCOMES, counts.tolist())),
         tv_distance=tv,
     )

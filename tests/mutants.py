@@ -16,10 +16,7 @@ Standard library only.  pytest does not collect this file;
 tests/test_mutants.py checks that each old text still occurs exactly once,
 so the list breaks loudly when the code moves.
 
-Equivalent mutants, which no test can kill, are left out.  For example,
-`if z_prob > 0.0` to `>= 0.0` in `protocol._register_branches` only adds a
-branch of weight zero to the coin mixture, which adds exact zeros to the
-state.
+Equivalent mutants, which no test can kill, are left out.
 """
 
 from __future__ import annotations
@@ -131,9 +128,23 @@ MUTANTS = (
     Mutant(
         "register-amplitude-sign",
         "src/invbell/protocol.py",
-        "math.sqrt(1.0 - z_prob)]",
-        "-math.sqrt(1.0 - z_prob)]",
+        "    root = np.sqrt(w)\n",
+        "    root = np.sqrt(w) * (1.0, -1.0)\n",
         "the sign keeps every diagonal entry but flips the coherences of the state",
+    ),
+    Mutant(
+        "diagonal-from-amplitudes",
+        "src/invbell/protocol.py",
+        "    np.fill_diagonal(rho, (_DIAGONAL_SCALE * np.multiply.outer(w, w)).reshape(16))\n",
+        "",
+        "|amplitude|^2 rounds the square roots twice: p^2 / 2 at p = 0.3 reads 0.044999999999999984, not 0.045",
+    ),
+    Mutant(
+        "finiteness-real-part-only",
+        "src/invbell/qcore.py",
+        "if not np.isfinite(arr).all():",
+        "if not np.isfinite(arr.real).all():",
+        "a NaN imaginary part passes the norm and Hermiticity checks, which compare NaN as False",
     ),
     Mutant(
         "combinations-by-matmul",

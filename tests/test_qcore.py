@@ -47,6 +47,19 @@ def test_state_vector_rejects_nan():
         StateVector(np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(0.0, np.inf)])
+@pytest.mark.parametrize("wrapper, values", [
+    (StateVector, [1.0, 0.0]),
+    (UnitaryMatrix, [[1.0, 0.0], [0.0, 1.0]]),
+    (DensityMatrix, [[1.0, 0.0], [0.0, 0.0]]),
+])
+def test_wrappers_reject_a_non_finite_imaginary_part(wrapper, values, bad):
+    values = np.array(values, dtype=np.complex128)
+    values.flat[1] = bad  # an off-diagonal entry of a matrix
+    with pytest.raises(ValueError, match="non-finite"):
+        wrapper(values)
+
+
 def test_state_vector_rejects_bad_length():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0]))

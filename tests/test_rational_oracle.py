@@ -10,22 +10,23 @@ probability w_a w_b c^2 / 2^(1 + a + b) exactly.  The oracle computes it with
 arithmetic.  Outcome +1 is bit 0 and -1 is bit 1, and the basis index reads
 Q1 Q2 Q3 Q4 from the most significant bit.
 
-The program works in float64.  Each of its probabilities is a sum of at most
-two products of a few rounded factors (sqrt(p), sqrt(1 - p), 1/sqrt(2)), so
-it is off by a few units in the last place of 1 (2.2e-16 each); a
+The program works in float64.  Its diagonal is exact: each entry is the
+rational above for the float weights (p, 1.0 - p), correctly rounded, so an
+outcome the gates cannot produce has probability 0.0.  Sums and conditionals
+of it are off by a few units in the last place of 1 (2.2e-16 each); a
 conditional divides by a row probability of at least 3/20 here.  TOL = 1e-14
-leaves room for about 45 such units after that division; the worst error seen
-over p = k/20 and 1/7, both modes, was 4.4e-16.
+leaves room for about 45 such units after that division.
 """
 
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from invbell.lhv import conditional_table
-from invbell.protocol import Scenario, build_final_density, outcome_distribution
-from invbell.reality import hardy_chain_check
+from invbell.protocol import OUTCOMES, Scenario, build_final_density, outcome_distribution
+from invbell.reality import hardy_chain_check, response_model_refutation
 
 TOL = 1e-14
 
@@ -49,7 +50,11 @@ def _pair_amplitudes(a: int, b: int) -> list[list[int]]:
 
 def exact_distribution(p: Fraction) -> dict[tuple[int, int, int, int], Fraction]:
     """P(q1, q2, q3, q4) as exact fractions, keyed by +-1 values."""
-    weight = (p, 1 - p)
+    return weighted_distribution((p, 1 - p))
+
+
+def weighted_distribution(weight: tuple[Fraction, Fraction]) -> dict[tuple[int, int, int, int], Fraction]:
+    """P(q1, q2, q3, q4) for register weights w_0 (Z) and w_1 (X), which need not sum to one."""
     dist = {}
     for a, b in product((0, 1), repeat=2):
         amps = _pair_amplitudes(a, b)
@@ -126,3 +131,64 @@ def test_conditional_table_at_three_tenths():
         assert exact_row == (equal_row if q1 == q2 else unequal_row)
         for (q3, q4), want in zip(outputs, exact_row):
             assert abs(table.entry(q1, q2, q3, q4) - float(want)) < TOL
+
+
+# ------------------------------------------------------------ exact diagonal
+
+MODE_PAIRS = [(a, b) for a in ("coherent", "coin") for b in ("coherent", "coin")]
+# The endpoints, the paper's 1/2, choice probabilities the golden files use, the
+# smallest subnormal and the largest double below 1, then seeded draws.
+EXACT_CORPUS = [0.0, 1.0, 0.5, 0.3, 0.242, 0.094, 5e-324, 1 - 2**-53, *np.random.default_rng(19).uniform(size=12)]
+# Interior choice probabilities whose every nonzero rational is above the subnormal range.
+INTERIOR = [p for p in EXACT_CORPUS if 1e-300 < p < 1.0]
+
+
+def rounded_diagonal(p: float) -> list[float]:
+    """float(Fraction(w_a) * Fraction(w_b) * n^2 / 2^k) for the float weights (p, 1.0 - p), in basis order."""
+    dist = weighted_distribution((Fraction(p), Fraction(1.0 - p)))
+    return [float(dist[outcome]) for outcome in OUTCOMES]
+
+
+@pytest.mark.parametrize("modes", MODE_PAIRS)
+@pytest.mark.parametrize("p", EXACT_CORPUS)
+def test_diagonal_is_the_correctly_rounded_rational(modes, p):
+    diagonal = build_final_density(Scenario(*modes, p)).matrix.diagonal()
+    assert diagonal.real.tolist() == rounded_diagonal(p)
+    assert not diagonal.imag.any()
+
+
+@pytest.mark.parametrize("modes", MODE_PAIRS)
+@pytest.mark.parametrize("p", EXACT_CORPUS)
+def test_impossible_outcomes_have_exactly_zero_rows_and_columns(modes, p):
+    rho = build_final_density(Scenario(*modes, p)).matrix
+    dist = exact_distribution(Fraction(p))
+    zeros = [i for i, outcome in enumerate(OUTCOMES) if dist[outcome] == 0]
+    assert len(zeros) >= 4  # the gates alone forbid four outcomes at every p
+    for i in zeros:
+        assert not rho[i].any() and not rho[:, i].any()
+
+
+@pytest.mark.parametrize("modes", MODE_PAIRS)
+@pytest.mark.parametrize("p", EXACT_CORPUS)
+def test_f3_is_exactly_zero(modes, p):
+    assert hardy_chain_check(outcome_distribution(build_final_density(Scenario(*modes, p)))).f3 == 0.0
+
+
+@pytest.mark.parametrize("modes", MODE_PAIRS)
+@pytest.mark.parametrize("p", INTERIOR)
+def test_refutation_keeps_exactly_the_closed_form_survivors(modes, p):
+    # A pair q3 = f(q1), q4 = g(q2) survives when every (q1, q2) can produce its prediction.
+    dist = exact_distribution(Fraction(p))
+    signs = (1, -1)
+    expected = [
+        ((f_plus, f_minus), (g_plus, g_minus))
+        for f_plus, f_minus, g_plus, g_minus in product(signs, repeat=4)
+        if all(
+            dist[(q1, q2, f_plus if q1 == 1 else f_minus, g_plus if q2 == 1 else g_minus)] > 0
+            for q1 in signs
+            for q2 in signs
+        )
+    ]
+    assert expected == [((1, 1), (-1, -1)), ((-1, -1), (1, 1))]
+    survivors = response_model_refutation(outcome_distribution(build_final_density(Scenario(*modes, p))))
+    assert [(tuple(f), tuple(g)) for f, g in survivors] == expected

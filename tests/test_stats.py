@@ -341,4 +341,4 @@ def cdfs_and_draws(draw):
 @settings(max_examples=300, deadline=None)
 def test_bucket_counts_match_searchsorted(case):
     cdf, u = case
-    assert _bucket_counts(u, cdf).tolist() == _searchsorted_counts(u, cdf).tolist()
+    assert _bucket_counts(u, cdf) == _searchsorted_counts(u, cdf).tolist()
